@@ -252,11 +252,13 @@ def _cmd_conjecture(args, out):
         out.write(f"verdict: {'monotone' if verdict else 'VIOLATION FOUND'}\n")
 
 
-def _partition_summary(p):
+def _step_summary(step):
+    # u·α(s) ⊕ v·β(s) has parts 1 and s only, and length (u + v)·s.
+    s = step.start_index
     return {
-        "largest_part": p.largest_part,
-        "length_log2": round(_log2_int(p.length), 6),
-        "support_size": p.support_size(),
+        "largest_part": s,
+        "length_log2": round(_log2_int(sum(step.weights) * s), 6),
+        "support_size": 2,
     }
 
 
@@ -269,8 +271,8 @@ def _cmd_density(args, out):
             "step": s.index,
             "integral": format_rational(s.integral),
             "error_bound": format_rational(s.error_bound),
-            "largest_part": s.partition.largest_part,
-            "support_size": s.partition.support_size(),
+            "largest_part": s.start_index,
+            "support_size": 2,
         }
         for s in trace.steps
     ]
@@ -284,12 +286,12 @@ def _cmd_density(args, out):
                 "step": s.index,
                 "integral": format_rational(s.integral),
                 "error_bound": format_rational(s.error_bound),
-                "partition": _partition_summary(s.partition),
+                "partition": _step_summary(s),
             }
             for s in trace.steps
         ],
         "achieved_error": format_rational(trace.achieved_error),
-        "result": _partition_summary(trace.result),
+        "result": _step_summary(trace.steps[-1]),
     }
     if args.full_partition:
         doc["result_partition"] = trace.result.to_json()
@@ -321,9 +323,19 @@ def _cmd_collide(args, out):
 
 def _cmd_count(args, out):
     value = count_partitions(args.n, args.length)
-    row = {"n": args.n, "length": args.length if args.length else "", "count": value}
+    row = {"n": args.n, "length": "" if args.length is None else args.length, "count": value}
     doc = {"n": args.n, "length": args.length, "count": str(value)}
     _emit([row], doc, args, out)
+
+
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _global_flags(parser, suppress):
@@ -338,7 +350,7 @@ def _global_flags(parser, suppress):
     )
     parser.add_argument(
         "--decimal-digits",
-        type=int,
+        type=_nonnegative_int,
         default=argparse.SUPPRESS if suppress else 12,
         metavar="K",
         help="places for decimal annotation columns (default: 12)",

@@ -4,30 +4,33 @@ Two edge families bracket any target c in (0, 1/2): ⟨1^1, s^(s-1)⟩ with
 integral tending to 0, and ⟨1^(s-1), s^1⟩ with integral tending to 1/2.
 Both have length s, so combining them with ⊕ keeps lengths equal and makes
 each combined integral the exact midpoint of the bracket.  Halving the
-bracket each step certifies |∫ − c| < (b − a)/2^s, entirely in exact
-rational arithmetic.
+bracket each step certifies |∫ − c| < (b − a)/2^r at step r, exactly.
+Step r's partition u·α(s) ⊕ v·β(s), u + v = 2^r, is kept as just (u, v).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .integrals import integral
 from .partitions import Partition
+
+
+def _edge_combination(s, u, v):
+    # u·α(s) ⊕ v·β(s) = ⟨1^(u + v(s-1)), s^(u(s-1) + v)⟩
+    if s < 2:
+        raise DomainError("need s >= 2")
+    return Partition([u + v * (s - 1)] + [0] * (s - 2) + [u * (s - 1) + v])
 
 
 def alpha(s):
     """⟨1^1, s^(s-1)⟩, the low-integral edge partition of length s."""
-    if s < 2:
-        raise DomainError("need s >= 2")
-    return Partition([1] + [0] * (s - 2) + [s - 1])
+    return _edge_combination(s, 1, 0)
 
 
 def beta(s):
     """⟨1^(s-1), s^1⟩, the high-integral edge partition of length s."""
-    if s < 2:
-        raise DomainError("need s >= 2")
-    return Partition([s - 1] + [0] * (s - 2) + [1])
+    return _edge_combination(s, 0, 1)
 
 
 def alpha_integral(s):
@@ -47,9 +50,15 @@ def beta_integral(s):
 @dataclass(frozen=True)
 class DensityStep:
     index: int
-    partition: Partition  # the combined partition δ at this step
+    weights: tuple  # (u, v) with u + v = 2^index
+    start_index: int  # s of the edge partitions
     integral: Fraction
     error_bound: Fraction  # (b − a) / 2^index
+
+    @property
+    def partition(self):
+        """The combined partition δ = u·α(s) ⊕ v·β(s), built on demand."""
+        return _edge_combination(self.start_index, *self.weights)
 
 
 @dataclass(frozen=True)
@@ -59,14 +68,27 @@ class DensityTrace:
     start_index: int  # s of the edge partitions used for the bracket
     interval: tuple  # (a, b) = starting bracket integrals
     steps: tuple  # DensityStep per iteration
-    result: Partition
     achieved_error: Fraction
+
+    @property
+    def result(self):
+        """The last step's partition, built on demand."""
+        return self.steps[-1].partition
 
 
 def _bracket_index(c):
     # Smallest s >= 2 with alpha_integral(s) < c < beta_integral(s);
-    # widened by one when c lands exactly on an endpoint.
+    # widened by one when c lands exactly on an endpoint.  For c = p/q the
+    # two conditions read 2p·s² + (2p − 3q)·s + q > 0 and
+    # (q − 2p)·s² − 2p·s + q > 0, true past their larger roots (any smaller
+    # root is below 2).  The floored roots never pass the answer, so a walk
+    # of a step or two up settles it exactly.
+    p, q = c.numerator, c.denominator
     s = 2
+    for k2, k1, k0 in ((2 * p, 2 * p - 3 * q, q), (q - 2 * p, -2 * p, q)):
+        disc = k1 * k1 - 4 * k2 * k0
+        if disc >= 0:
+            s = max(s, (math.isqrt(disc) - k1) // (2 * k2))
     while not (alpha_integral(s) < c < beta_integral(s)):
         s += 1
     return s
@@ -83,20 +105,19 @@ def approximate(c, epsilon):
         raise DomainError("epsilon must be positive")
 
     s = _bracket_index(c)
-    low, high = alpha(s), beta(s)
     a, b = alpha_integral(s), beta_integral(s)
     width = b - a
 
+    # Edge weights (u, v) of the bracket's ends; both sum to 2^(r-1).
+    low, high = (1, 0), (0, 1)
     steps = []
-    achieved = None
     r = 0
-    delta = None
     while True:
         r += 1
-        delta = low.oplus(high)
-        value = integral(delta)
+        u, v = low[0] + high[0], low[1] + high[1]
+        value = (u * a + v * b) / 2 ** r
         bound = width / 2 ** r
-        steps.append(DensityStep(r, delta, value, bound))
+        steps.append(DensityStep(r, (u, v), s, value, bound))
         if value == c:
             achieved = Fraction(0)
             break
@@ -104,11 +125,9 @@ def approximate(c, epsilon):
             achieved = abs(value - c)
             break
         if c < value:
-            high = delta
-            low = low.oplus(low)
+            low, high = (2 * low[0], 2 * low[1]), (u, v)
         else:
-            low = delta
-            high = high.oplus(high)
+            low, high = (u, v), (2 * high[0], 2 * high[1])
 
     return DensityTrace(
         target=c,
@@ -116,6 +135,5 @@ def approximate(c, epsilon):
         start_index=s,
         interval=(a, b),
         steps=tuple(steps),
-        result=delta,
         achieved_error=achieved,
     )

@@ -7,6 +7,7 @@ or "num" for integers) and the memoized integer tables the calculus and
 averages code needs.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import DomainError
@@ -82,12 +83,38 @@ def format_rational(q):
     return f"{q.numerator}/{q.denominator}"
 
 
+# parse_rational refuses a power b^e once (bit_length(b) − 1)·e, a lower
+# bound on its bit length, passes this cap; 10^300000 still fits.
+MAX_POWER_BITS = 1 << 20
+
+_POWER_TERM = r"(\d+)(?:\^(\d+))?"
+_RATIONAL_WITH_POWERS = re.compile(rf"([+-]?){_POWER_TERM}(?:/{_POWER_TERM})?")
+
+
+def _power(base, exp):
+    if exp is None:
+        return int(base)
+    base, exp = int(base), int(exp)
+    if (base.bit_length() - 1) * exp > MAX_POWER_BITS:
+        raise DomainError(f"{base}^{exp} exceeds {MAX_POWER_BITS} bits")
+    return base ** exp
+
+
 def parse_rational(s):
-    """Parse "num/den" or "num" into a Fraction."""
+    """Parse "num/den" or "num" into a Fraction; num and den may also be
+    integer powers such as 10^30, so "1/10^30" is accepted."""
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational: {s!r}") from exc
+        match = "^" in s and _RATIONAL_WITH_POWERS.fullmatch(s.strip())
+        if not match:
+            raise DomainError(f"not a rational: {s!r}") from exc
+    sign, num, num_exp, den, den_exp = match.groups()
+    numerator = _power(num, num_exp)
+    denominator = 1 if den is None else _power(den, den_exp)
+    if denominator == 0:
+        raise DomainError(f"not a rational: {s!r}")
+    return Fraction(-numerator if sign == "-" else numerator, denominator)
 
 
 def rational_to_decimal(q, digits=12):

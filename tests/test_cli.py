@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,55 @@ def test_count_subcommand():
     assert json.loads(text)["count"] == "42"
     _, text = _run(["count", "--n", "5", "--length", "2", "--format", "json"])
     assert json.loads(text)["count"] == "2"
+
+
+def test_count_length_zero_is_printed():
+    _, text = _run(["count", "--n", "5", "--length", "0"])
+    assert text.splitlines()[1].split() == ["5", "0", "0"]
+    _, text = _run(["count", "--n", "5", "--format", "csv"])
+    assert text.splitlines()[1] == "5,,7"  # no --length: empty column
+
+
+def test_density_accepts_power_spelling():
+    _, spelled = _run(["density", "--target", "1/100000", "--epsilon", "1/10^30", "--format", "json"])
+    _, digits = _run(
+        ["density", "--target", "1/10^5", "--epsilon", f"1/{10 ** 30}", "--format", "json"]
+    )
+    assert spelled == digits
+    assert json.loads(spelled)["start_index"] == 149999
+
+
+def test_oversized_power_exits_1(capsys):
+    status, _ = _run(["density", "--target", "1/3", "--epsilon", "1/10^999999999"])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--decimal-digits", "-1", "integral", "--parts", "2,1"],
+    ["integral", "--parts", "2,1", "--decimal-digits", "-1"],
+    ["integral", "--parts", "2,1", "--decimal-digits", "x"],
+])
+def test_bad_decimal_digits_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv, out=io.StringIO())
+    assert exc.value.code == 2
+
+
+def test_decimal_digits_zero():
+    _, text = _run(["integral", "--parts", "2,1", "--decimal-digits", "0", "--format", "json"])
+    assert json.loads(text)["decimal"] == "0"
+
+
+def test_python_dash_m():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "partpoly", "count", "--n", "10", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["count"] == "42"
 
 
 def test_domain_error_exits_1(capsys):

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from partpoly import (
     integral,
     is_nontrivial,
 )
-from partpoly.density import alpha_integral, beta_integral
+from partpoly.density import _bracket_index, alpha_integral, beta_integral
 
 
 def test_alpha_examples():
@@ -116,3 +118,84 @@ def test_bracket_widens_past_exact_endpoints():
     a, b = trace.interval
     assert a < Fraction(5, 12) < b
     assert trace.achieved_error < Fraction(1, 10 ** 6)
+
+
+def _bracket_index_by_scan(c):
+    # the original linear scan, kept as the oracle for the closed form
+    s = 2
+    while not (alpha_integral(s) < c < beta_integral(s)):
+        s += 1
+    return s
+
+
+def test_bracket_index_matches_linear_scan():
+    rng = random.Random(20211002)
+    targets = [f(s) for s in range(2, 401) for f in (alpha_integral, beta_integral)]
+    targets.append(Fraction(5, 12))
+    # a spread over (0, 1/2), targets near 0 and near 1/2, and tiny steps
+    # either side of the edge integrals
+    targets += [Fraction(rng.randrange(1, 10 ** 6), 2 * 10 ** 6) for _ in range(200)]
+    targets += [Fraction(1, rng.randrange(3, 2000)) for _ in range(50)]
+    targets += [Fraction(1, 2) - Fraction(1, rng.randrange(3, 2000)) for _ in range(50)]
+    for _ in range(50):
+        edge = rng.choice((alpha_integral, beta_integral))(rng.randrange(3, 400))
+        targets.append(edge + Fraction(rng.choice((-1, 1)), 10 ** 12))
+    for c in targets:
+        assert _bracket_index(c) == _bracket_index_by_scan(c), c
+
+
+def _replay_with_oplus(trace):
+    # the original search over explicit partitions: δ = low ⊕ high, with
+    # the end that is kept doubled by ⊕ with itself
+    c, s = trace.target, trace.start_index
+    low, high = alpha(s), beta(s)
+    for step in trace.steps:
+        delta = low.oplus(high)
+        yield step, delta
+        if c < integral(delta):
+            high, low = delta, low.oplus(low)
+        else:
+            low, high = delta, high.oplus(high)
+
+
+@pytest.mark.parametrize(
+    "c, eps",
+    [
+        (Fraction(1, 3), Fraction(1, 1000)),
+        (Fraction(3, 8), Fraction(1, 10 ** 9)),
+        (Fraction(5, 12), Fraction(1, 10 ** 6)),
+        (Fraction(1, 10), Fraction(1, 10 ** 6)),
+        (Fraction(1, 4), Fraction(1, 10 ** 6)),
+        (Fraction(49, 100), Fraction(1, 10 ** 6)),
+    ],
+)
+def test_weight_trace_equals_oplus_replay(c, eps):
+    trace = approximate(c, eps)
+    s = trace.start_index
+    for step, delta in _replay_with_oplus(trace):
+        assert step.partition == delta
+        assert integral(step.partition) == step.integral
+        assert step.partition.length == 2 ** step.index * s
+        assert sum(step.weights) == 2 ** step.index
+    assert trace.result == delta
+
+
+def test_approximate_at_huge_start_index():
+    # s ≈ 1.5e9 edge partitions: only the weights are kept, never the
+    # s-entry partitions
+    started = time.perf_counter()
+    trace = approximate(Fraction(1, 10 ** 9), Fraction(1, 10 ** 1000))
+    assert time.perf_counter() - started < 10.0
+    assert trace.start_index == 1_499_999_999
+    assert len(trace.steps) == 3321
+    assert trace.steps[-1].error_bound < trace.epsilon
+    _replay_invariants(trace)
+
+
+def test_bracket_index_near_one_half():
+    # here the beta_integral condition sets s ≈ 5·10¹¹, far past a walk
+    c = Fraction(1, 2) - Fraction(1, 10 ** 12)
+    s = _bracket_index(c)
+    assert alpha_integral(s) < c < beta_integral(s)
+    assert not beta_integral(s - 1) > c
+    assert s == 499_999_999_998

@@ -105,6 +105,27 @@ def test_rational_strings():
         parse_rational("1/0")
 
 
+def test_parse_rational_integer_powers():
+    assert parse_rational("1/10^30") == Fraction(1, 10 ** 30)
+    assert parse_rational(" 10^3 ") == 1000
+    assert parse_rational("-2^3/3^2") == Fraction(-8, 9)  # sign outside the power
+    assert parse_rational("+1/2^2") == Fraction(1, 4)
+    assert parse_rational("0^0/5") == Fraction(1, 5)
+    assert parse_rational("1/10^1000") == Fraction(1, 10 ** 1000)
+    for bad in ("2^-1", "^3", "1/2^", "2^^3", "1/0^3", "10^3.5", "(2^3)", "1/2/3"):
+        with pytest.raises(DomainError, match="not a rational"):
+            parse_rational(bad)
+
+
+def test_parse_rational_refuses_oversized_powers():
+    # refused from the exponent alone, before any power is computed
+    for text in ("10^999999999", "1/10^999999999", "2^1048577"):
+        with pytest.raises(DomainError, match="exceeds"):
+            parse_rational(text)
+    assert parse_rational("2^1048576") == 2 ** 1048576  # exactly at the cap
+    assert parse_rational("1^999999999") == 1
+
+
 def test_rational_decimal():
     assert rational_to_decimal(Fraction(1, 3), 6) == "0.333333"
     assert rational_to_decimal(Fraction(2, 3), 6) == "0.666667"
