@@ -24,37 +24,44 @@ from .density import approximate
 from .errors import DomainError
 from .exact import format_rational, parse_rational, rational_to_decimal
 from .integrals import integral
-from .partitions import Partition, count_partitions, stats
+from .partitions import Partition, count_partitions
 from .search import collision_search
 
+# Python refuses int -> str conversions past 4300 digits by default (see
+# sys.set_int_max_str_digits), so more decimal places could never be printed.
+MAX_DECIMAL_DIGITS = 4300
 
-def _partition_from_args(args):
+# `density --full-partition` writes one multiplicity for each part size
+# 1..s, about 11 bytes of JSON and 80 bytes of memory apiece, so a larger
+# s is refused before the list is built (1/10^9 has s = 1,499,999,999).
+MAX_FULL_PARTITION = 10 ** 6
+
+
+def _int_list(text):
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
+
+
+def _decimal_digits(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value > MAX_DECIMAL_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DECIMAL_DIGITS}, got {value}")
+    return value
+
+
+def _partition(args):
     if args.parts is not None:
-        return Partition.from_parts(
-            [int(p) for p in args.parts.split(",") if p.strip()]
-        )
-    return Partition(int(m) for m in args.mults.split(",") if m.strip())
-
-
-def _add_partition_args(sub):
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--parts", help="comma-separated part list, e.g. 5,2,2,1"
-    )
-    group.add_argument(
-        "--mults", help="comma-separated multiplicities m_1,m_2,..., e.g. 1,2,0,0,1"
-    )
-
-
-def _freq_string(partition):
-    if partition.is_empty:
-        return "<>"
-    inner = ",".join(
-        f"{i}^{m}"
-        for i, m in enumerate(partition.multiplicities, start=1)
-        if m > 0
-    )
-    return f"<{inner}>"
+        return Partition.from_parts(args.parts)
+    return Partition(args.mults)
 
 
 def _log2_int(n):
@@ -65,63 +72,55 @@ def _log2_int(n):
     return (bl - 1) + math.log2(n / (1 << (bl - 1)))
 
 
-def _emit(rows, doc, args, out):
-    """Write `rows` (list of dicts, shared keys) as table or CSV, or `doc`
-    as JSON.  Exact values are identical across formats by construction."""
-    if args.format == "json":
+def _emit(rows, doc, fmt, out):
+    """Write `rows` (list of dicts, shared keys; None prints empty) as table
+    or CSV, or `doc` as JSON.  Exact values are identical across formats by
+    construction."""
+    if fmt == "json":
         json.dump(doc, out, indent=2)
         out.write("\n")
-        return
-    if not rows:
-        return
-    keys = list(rows[0].keys())
-    if args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([row[k] for k in keys])
-        return
-    widths = {
-        k: max(len(k), max(len(str(r[k])) for r in rows)) for k in keys
-    }
-    out.write("  ".join(k.ljust(widths[k]) for k in keys).rstrip() + "\n")
-    for row in rows:
-        out.write(
-            "  ".join(str(row[k]).ljust(widths[k]) for k in keys).rstrip()
-            + "\n"
-        )
+    elif rows:
+        keys = list(rows[0])
+        lines = [keys] + [["" if r[k] is None else str(r[k]) for k in keys] for r in rows]
+        if fmt == "csv":
+            csv.writer(out).writerows(lines)
+            return
+        widths = [max(len(line[i]) for line in lines) for i in range(len(keys))]
+        for line in lines:
+            out.write("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n")
 
 
-def _cmd_stats(args, out):
-    p = _partition_from_args(args)
-    st = stats(p)
+# Each handler takes the parsed arguments and returns (rows, doc, trailer):
+# the table/CSV rows, the JSON document, and a closing line for table and
+# CSV output or None.
+
+
+def _cmd_stats(args):
+    p = _partition(args)
     row = {
-        "partition": _freq_string(p),
-        "length": st.length,
-        "size": st.size,
-        "largest_part": st.largest_part,
+        "partition": str(p),
+        "length": p.length,
+        "size": p.size,
+        "largest_part": p.largest_part,
         "norm": p.norm(),
         "supernorm": p.supernorm(),
     }
-    doc = dict(row, partition=p.to_json())
-    _emit([row], doc, args, out)
+    return [row], dict(row, partition=p.to_json()), None
 
 
-def _cmd_poly(args, out):
-    p = _partition_from_args(args)
-    poly = poly_of(p)
+def _cmd_poly(args):
+    poly = poly_of(_partition(args))
     rows = [
         {"degree": i, "coefficient": c}
         for i, c in enumerate(poly.coefficients)
     ]
-    _emit(rows, poly.to_json(), args, out)
+    return rows, poly.to_json(), None
 
 
-def _cmd_derivatives(args, out):
-    p = _partition_from_args(args)
+def _cmd_derivatives(args):
+    p = _partition(args)
     x = parse_rational(args.at)
-    k = p.largest_part
-    orders = range(k + 1) if args.order is None else [args.order]
+    orders = range(p.largest_part + 1) if args.order is None else [args.order]
     rows = []
     for d in orders:
         if x == 0:
@@ -135,102 +134,69 @@ def _cmd_derivatives(args, out):
                 "decimal": rational_to_decimal(value, args.decimal_digits),
             }
         )
-    doc = {
-        "partition": p.to_json(),
-        "at": format_rational(x),
-        "values": [
-            {"order": r["order"], "value": r["value"], "decimal": r["decimal"]}
-            for r in rows
-        ],
-    }
-    _emit(rows, doc, args, out)
+    doc = {"partition": p.to_json(), "at": format_rational(x), "values": rows}
+    return rows, doc, None
 
 
-def _cmd_derived_seq(args, out):
-    p = _partition_from_args(args)
-    rows = []
-    seq = []
+def _cmd_derived_seq(args):
+    p = _partition(args)
+    rows, seq = [], []
     for d in range(p.largest_part + 1):
         dp = derived_partition(p, d)
         rows.append(
-            {
-                "order": d,
-                "partition": _freq_string(dp),
-                "length": dp.length,
-                "size": dp.size,
-            }
+            {"order": d, "partition": str(dp), "length": str(dp.length), "size": str(dp.size)}
         )
-        seq.append(
-            {
-                "order": d,
-                "partition": dp.to_json(),
-                "length": str(dp.length),
-                "size": str(dp.size),
-            }
-        )
-    _emit(rows, {"partition": p.to_json(), "sequence": seq}, args, out)
+        seq.append(dict(rows[-1], partition=dp.to_json()))
+    return rows, {"partition": p.to_json(), "sequence": seq}, None
 
 
-def _cmd_integral(args, out):
-    p = _partition_from_args(args)
+def _cmd_integral(args):
+    p = _partition(args)
     value = integral(p)
     row = {
         "integral": format_rational(value),
         "decimal": rational_to_decimal(value, args.decimal_digits),
     }
-    _emit([row], dict(row, partition=p.to_json()), args, out)
+    return [row], dict(row, partition=p.to_json()), None
 
 
-def _cmd_avg(args, out):
-    value = avg(args.n, args.length)
-    row = {
-        "n": args.n,
-        "length": args.length,
+def _avg_row(n, length, value, digits):
+    return {
+        "n": n,
+        "length": length,
         "avg_exact": format_rational(value),
-        "avg_decimal": rational_to_decimal(value, args.decimal_digits),
-        "p_n_l": count_partitions(args.n, args.length),
+        "avg_decimal": rational_to_decimal(value, digits),
+        "p_n_l": str(count_partitions(n, length)),
     }
-    _emit([row], dict(row, p_n_l=str(row["p_n_l"])), args, out)
 
 
-def _avg_table_rows(report, digits):
-    rows = []
-    for l, value in enumerate(report.values, start=1):
-        rows.append(
-            {
-                "n": report.n,
-                "length": l,
-                "avg_exact": format_rational(value),
-                "avg_decimal": rational_to_decimal(value, digits),
-                "p_n_l": count_partitions(report.n, l),
-            }
-        )
-    return rows
+def _cmd_avg(args):
+    row = _avg_row(args.n, args.length, avg(args.n, args.length), args.decimal_digits)
+    return [row], row, None
 
 
-def _cmd_avg_table(args, out):
+def _cmd_avg_table(args):
     report = avg_table(args.n)
-    rows = _avg_table_rows(report, args.decimal_digits)
+    rows = [
+        _avg_row(report.n, l, value, args.decimal_digits)
+        for l, value in enumerate(report.values, start=1)
+    ]
     doc = {
         "n": report.n,
         "monotone": report.monotone,
         "first_violation": report.first_violation,
-        "values": [dict(r, p_n_l=str(r["p_n_l"])) for r in rows],
+        "values": rows,
     }
-    _emit(rows, doc, args, out)
+    return rows, doc, None
 
 
-def _cmd_conjecture(args, out):
+def _cmd_conjecture(args):
     def progress(n, n_max):
         print(f"n={n}/{n_max}", file=sys.stderr)
 
     reports = check_conjecture(args.max_n, jobs=args.jobs, progress=progress)
     rows = [
-        {
-            "n": r.n,
-            "monotone": r.monotone,
-            "first_violation": "" if r.first_violation is None else r.first_violation,
-        }
+        {"n": r.n, "monotone": r.monotone, "first_violation": r.first_violation}
         for r in reports
     ]
     verdict = all(r.monotone for r in reports)
@@ -238,18 +204,11 @@ def _cmd_conjecture(args, out):
         "max_n": args.max_n,
         "verdict": verdict,
         "reports": [
-            {
-                "n": r.n,
-                "monotone": r.monotone,
-                "first_violation": r.first_violation,
-                "values": [format_rational(v) for v in r.values],
-            }
-            for r in reports
+            dict(row, values=[format_rational(v) for v in r.values])
+            for row, r in zip(rows, reports)
         ],
     }
-    _emit(rows, doc, args, out)
-    if args.format != "json":
-        out.write(f"verdict: {'monotone' if verdict else 'VIOLATION FOUND'}\n")
+    return rows, doc, f"verdict: {'monotone' if verdict else 'VIOLATION FOUND'}"
 
 
 def _step_summary(step):
@@ -262,53 +221,43 @@ def _step_summary(step):
     }
 
 
-def _cmd_density(args, out):
-    c = parse_rational(args.target)
-    eps = parse_rational(args.epsilon)
-    trace = approximate(c, eps)
-    rows = [
-        {
+def _cmd_density(args):
+    trace = approximate(parse_rational(args.target), parse_rational(args.epsilon))
+    if args.full_partition and trace.start_index > MAX_FULL_PARTITION:
+        raise DomainError(
+            f"--full-partition would list {trace.start_index} multiplicities;"
+            f" the limit is {MAX_FULL_PARTITION}"
+        )
+    rows, steps = [], []
+    for s in trace.steps:
+        head = {
             "step": s.index,
             "integral": format_rational(s.integral),
             "error_bound": format_rational(s.error_bound),
-            "largest_part": s.start_index,
-            "support_size": 2,
         }
-        for s in trace.steps
-    ]
+        rows.append(dict(head, largest_part=s.start_index, support_size=2))
+        steps.append(dict(head, partition=_step_summary(s)))
     doc = {
         "target": format_rational(trace.target),
         "epsilon": format_rational(trace.epsilon),
         "start_index": trace.start_index,
         "interval": [format_rational(q) for q in trace.interval],
-        "steps": [
-            {
-                "step": s.index,
-                "integral": format_rational(s.integral),
-                "error_bound": format_rational(s.error_bound),
-                "partition": _step_summary(s),
-            }
-            for s in trace.steps
-        ],
+        "steps": steps,
         "achieved_error": format_rational(trace.achieved_error),
         "result": _step_summary(trace.steps[-1]),
     }
     if args.full_partition:
         doc["result_partition"] = trace.result.to_json()
-    _emit(rows, doc, args, out)
-    if args.format != "json":
-        out.write(
-            f"achieved_error: {format_rational(trace.achieved_error)}"
-            f" (= {rational_to_decimal(trace.achieved_error, args.decimal_digits)})\n"
-        )
+    decimal = rational_to_decimal(trace.achieved_error, args.decimal_digits)
+    return rows, doc, f"achieved_error: {doc['achieved_error']} (= {decimal})"
 
 
-def _cmd_collide(args, out):
+def _cmd_collide(args):
     report = collision_search(args.n, args.length, args.order)
     rows = [
         {
             "group": gi,
-            "partition": _freq_string(p),
+            "partition": str(p),
             "profile_prefix": ",".join(
                 str(v) for v in derivative_profile(p)[: args.order + 1]
             ),
@@ -316,26 +265,50 @@ def _cmd_collide(args, out):
         for gi, group in enumerate(report.groups)
         for p in group
     ]
-    _emit(rows, report.to_json(), args, out)
-    if args.format != "json" and not report.groups:
-        out.write("no collisions\n")
+    return rows, report.to_json(), None if report.groups else "no collisions"
 
 
-def _cmd_count(args, out):
-    value = count_partitions(args.n, args.length)
-    row = {"n": args.n, "length": "" if args.length is None else args.length, "count": value}
-    doc = {"n": args.n, "length": args.length, "count": str(value)}
-    _emit([row], doc, args, out)
+def _cmd_count(args):
+    count = count_partitions(args.n, args.length)
+    row = {"n": args.n, "length": args.length, "count": str(count)}
+    return [row], row, None
 
 
-def _nonnegative_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+# The required, mutually exclusive --parts | --mults pair: (flag, help).
+PARTITION = (
+    ("--parts", "comma-separated part list, e.g. 5,2,2,1"),
+    ("--mults", "comma-separated multiplicities m_1,m_2,..., e.g. 1,2,0,0,1"),
+)
+
+# name -> (handler, help, argument specs), specs in the order the usage
+# line shows them.  A spec is PARTITION, a bare flag for a required integer,
+# or (flag, add_argument keywords).
+COMMANDS = {
+    "stats": (_cmd_stats, "length, size, largest part, norm, supernorm", [PARTITION]),
+    "poly": (_cmd_poly, "partition polynomial coefficients", [PARTITION]),
+    "derivatives": (_cmd_derivatives, "derivative values at a point", [
+        PARTITION,
+        ("--at", {"default": "1", "help": "evaluation point (rational, default 1)"}),
+        ("--order", {"type": int, "default": None, "help": "single order instead of 0..k"}),
+    ]),
+    "derived-seq": (_cmd_derived_seq, "the derived-partition sequence", [PARTITION]),
+    "integral": (_cmd_integral, "exact integral of the normalized polynomial", [PARTITION]),
+    "avg": (_cmd_avg, "average integral over partitions of n with given length",
+            ["--n", "--length"]),
+    "avg-table": (_cmd_avg_table, "average integrals for every length 1..n", ["--n"]),
+    "conjecture": (_cmd_conjecture, "monotonicity scan of the average integrals",
+                   ["--max-n", ("--jobs", {"type": int, "default": 1})]),
+    "density": (_cmd_density, "construct a partition with prescribed integral", [
+        ("--target", {"required": True, "help": "target integral, e.g. 1/3"}),
+        ("--epsilon", {"required": True, "help": "error tolerance, e.g. 1/1000000"}),
+        ("--full-partition",
+         {"action": "store_true", "help": "include the full result partition in JSON output"}),
+    ]),
+    "collide": (_cmd_collide, "derivative-profile collision search",
+                ["--n", "--length", "--order"]),
+    "count": (_cmd_count, "partition counts p(n) and p(n, length)",
+              ["--n", ("--length", {"type": int, "default": None})]),
+}
 
 
 def _global_flags(parser, suppress):
@@ -350,7 +323,7 @@ def _global_flags(parser, suppress):
     )
     parser.add_argument(
         "--decimal-digits",
-        type=_nonnegative_int,
+        type=_decimal_digits,
         default=argparse.SUPPRESS if suppress else 12,
         metavar="K",
         help="places for decimal annotation columns (default: 12)",
@@ -365,90 +338,36 @@ def build_parser():
     )
     _global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stats", help="length, size, largest part, norm, supernorm")
-    _add_partition_args(p)
-    _global_flags(p, suppress=True)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("poly", help="partition polynomial coefficients")
-    _add_partition_args(p)
-    _global_flags(p, suppress=True)
-    p.set_defaults(func=_cmd_poly)
-
-    p = sub.add_parser("derivatives", help="derivative values at a point")
-    _add_partition_args(p)
-    p.add_argument("--at", default="1", help="evaluation point (rational, default 1)")
-    p.add_argument("--order", type=int, default=None, help="single order instead of 0..k")
-    _global_flags(p, suppress=True)
-    p.set_defaults(func=_cmd_derivatives)
-
-    p = sub.add_parser("derived-seq", help="the derived-partition sequence")
-    _add_partition_args(p)
-    _global_flags(p, suppress=True)
-    p.set_defaults(func=_cmd_derived_seq)
-
-    p = sub.add_parser("integral", help="exact integral of the normalized polynomial")
-    _add_partition_args(p)
-    _global_flags(p, suppress=True)
-    p.set_defaults(func=_cmd_integral)
-
-    p = sub.add_parser("avg", help="average integral over partitions of n with given length")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
-    _global_flags(p, suppress=True)
-    p.set_defaults(func=_cmd_avg)
-
-    p = sub.add_parser("avg-table", help="average integrals for every length 1..n")
-    p.add_argument("--n", type=int, required=True)
-    _global_flags(p, suppress=True)
-    p.set_defaults(func=_cmd_avg_table)
-
-    p = sub.add_parser("conjecture", help="monotonicity scan of the average integrals")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    _global_flags(p, suppress=True)
-    p.set_defaults(func=_cmd_conjecture)
-
-    p = sub.add_parser("density", help="construct a partition with prescribed integral")
-    p.add_argument("--target", required=True, help="target integral, e.g. 1/3")
-    p.add_argument("--epsilon", required=True, help="error tolerance, e.g. 1/1000000")
-    p.add_argument(
-        "--full-partition",
-        action="store_true",
-        help="include the full result partition in JSON output",
-    )
-    _global_flags(p, suppress=True)
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("collide", help="derivative-profile collision search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; search is single-pass")
-    _global_flags(p, suppress=True)
-    p.set_defaults(func=_cmd_collide)
-
-    p = sub.add_parser("count", help="partition counts p(n) and p(n, length)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, default=None)
-    _global_flags(p, suppress=True)
-    p.set_defaults(func=_cmd_count)
-
+    for name, (_, help_text, specs) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for spec in specs:
+            if spec is PARTITION:
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag, flag_help in PARTITION:
+                    group.add_argument(flag, type=_int_list, help=flag_help)
+            elif isinstance(spec, str):
+                p.add_argument(spec, type=int, required=True)
+            else:
+                p.add_argument(spec[0], **spec[1])
+        _global_flags(p, suppress=True)
     return parser
 
 
 def run(argv=None, out=None):
     """Parse argv and dispatch; returns the process exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = out or sys.stdout
     try:
-        args.func(args, out)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        rows, doc, trailer = COMMANDS[args.command][0](args)
+        _emit(rows, doc, args.format, out)
+        if trailer is not None and args.format != "json":
+            out.write(trailer + "\n")
     except ValueError as exc:
+        # DomainError is a ValueError.  The catch is wider than DomainError
+        # on purpose: exact output too large to print (a rational or count
+        # past 4300 digits) fails fast only through Python's int -> str limit,
+        # which raises a plain ValueError.  With that limit lifted, `density
+        # --target 1/3 --epsilon 1/10^5000` ran 16 s and wrote 128 MB of JSON.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -135,13 +135,15 @@ class Partition:
     def __hash__(self):
         return hash(self._mults)
 
-    def __repr__(self):
-        if not self._mults:
-            return "Partition(⟨⟩)"
+    def __str__(self):
+        """Frequency notation such as <1^1,2^2>; <> for the empty partition."""
         inner = ",".join(
             f"{i}^{m}" for i, m in enumerate(self._mults, start=1) if m > 0
         )
-        return f"Partition(⟨{inner}⟩)"
+        return f"<{inner}>"
+
+    def __repr__(self):
+        return f"Partition({self})"
 
 
 @dataclass(frozen=True)

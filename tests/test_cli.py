@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,97 @@ def _run(argv):
     out = io.StringIO()
     status = run(argv, out=out)
     return status, out.getvalue()
+
+
+# SHA-256 of stdout in table, CSV and JSON, pinned from the CLI as it was
+# before its subcommands moved into one table; covers every subcommand and
+# the three trailer lines (verdict, achieved_error, no collisions).
+GOLDEN_STDOUT = {
+    "stats --parts 5,2,2,1": (
+        "e8ed21fe04a2505a510fd1234facb7e9d64724453ef5ac978388dc5e57df1120",
+        "54f67efec265441042a83d087640d5a726e4bcf0170c5377f3d923eff4422b31",
+        "3192c6396ee1fb6cea27556ad7c652dac1e2eafc9acfe8611a99ebb5d5687fa7",
+    ),
+    "poly --parts 3,1,1": (
+        "68d555f327937747055e5814b17dedabf8a3d96191f0037cc94ef3f43d2c366d",
+        "262ec476853a802964583df0dff3b434e8fbf7d83879c83216d7053d162ab955",
+        "936d8ede0ed19b0a164e49998e6ca57b214b0d5a3363a3a1f3d4e8f0e38ed2e2",
+    ),
+    "derivatives --parts 5,2,2,1": (
+        "48a20b6da3447d3e9785ebdae6208f2f84dce19f300e98bb2824ac2d03da77d9",
+        "3d576dead424359b46d3f6de156c704f6a0de9480c50438cce87e8b98d8a0bb1",
+        "4c19ee8e4d982b26bc0bd04b7118b7f28cc5011b867c1db97c680ffcd75f88e5",
+    ),
+    "derivatives --parts 3,2 --at=-2/3 --decimal-digits 3": (
+        "c1559cf6fae21843587ddcc2d08887ec3a19e5c99548037eb31c607a3bac00f3",
+        "2786da2cd1959a98de05ce1d2b4bd7ee68e02a29c373e8d52391e9dc193c60ed",
+        "79f7f4284e00e510c228b1df88b0614b75b9b619369ff46edd1a2d9dc234b3c7",
+    ),
+    "derived-seq --parts 4,2,1": (
+        "c312c13b81d22080117b814c47782096ffef3477a80d4f7db10d1bf9a6d97111",
+        "4916346dcc9aa91a108a1fc27d0424fbd17674488ef78b710974c35e6c9648b3",
+        "1e403bf7e70da33c562520f2494dbf73dc1c2ab6ebfaf080de8d5e42ac7505e6",
+    ),
+    "integral --mults 1,2,0,0,1": (
+        "8ebcd2b892dec17d38137bdc2b804ed7263d46de322124f4ce25f5e4d160cc4b",
+        "2ab8c3c3e9c8f385fc3b97ef94dc1eb2b732d5acff8736418952cbc402ade08f",
+        "cdfd66047f36de6bdfd2b5b2a446986fbd461a376810673a59a1dc4c41ef325e",
+    ),
+    "avg --n 5 --length 2": (
+        "2a5e5e5d749562ecccccae21acff092d555fe52aafc290e72d4b8e2523ec0ee6",
+        "37ffba178915386c64ed4f10cd553a6d1a9465a1edd669cf7867a408f2c9385e",
+        "1a10596935c0eb34878b7074e2f4905af92e51de509ec1981286ddb00be551d8",
+    ),
+    "avg-table --n 6": (
+        "87d793a34b9df2e1ef1f7115617816bfd15ad22142258dba23fa3e05eb096cdc",
+        "dbf5104d44974f013a29c674d27966a30e2f99f187217fd404cf3ed349486c59",
+        "0f96cd3622dc6155d94b6f969ae976f1fb7a4e8593e0ace73dd2698ad5690bed",
+    ),
+    "conjecture --max-n 6": (
+        "6a3eb8fc27bd7b4019d7a0f92a6c6fd4c2be72bf14d132cf41b24b7defddb806",
+        "7e77c039a98535d8e2c5b6479704bdc8e460e97849163faf7879a919ba64a36b",
+        "2e507dc1df62486bba7a1101405b615658752b568bc140f47909672d34a28dc8",
+    ),
+    "density --target 1/3 --epsilon 1/1000 --full-partition": (
+        "eed124163e395e73a6a5bb8d920c3060a66170b549782c5ef0818bec394ec352",
+        "7f843cc7fddd2c2e081a39341d91f3c086fc76067ae08698461daee2a06a6461",
+        "f6d64160172419eea10976813c51437604279dcbc578b44565c13fc9c44fcb77",
+    ),
+    "density --target 5/12 --epsilon 1/10^6": (
+        "5879fb6347784c07a8f0f2f92c741473466c00ec3e0d50c8ae1afbcc7a3f562e",
+        "afc96e4c71a418c4480cba8f14a5617906decf7d764182588a1d42ec7ecbd588",
+        "e6749b8394c05287aac0751e6e73533469248ca87cf941dfa6296f9daacccdc2",
+    ),
+    "collide --n 12 --length 3 --order 2": (
+        "b3a55f566babc0e54f7d665c08792ce75cafafbd27e144d913e64d04c7119ee2",
+        "42ce7d36c55f5404fa8eb7a1658b415bd8bd10551142b910e1b2442bae1bdf66",
+        "5d5794924ad760118a29c33b6540dea4cc110d32033a2e9473a5ca5355cad7ff",
+    ),
+    "collide --n 5 --length 2 --order 2": (
+        "f374db6f1e28ca1d13091ba65bd173d15e25bce77640185780004a8fe39d1afe",
+        "f374db6f1e28ca1d13091ba65bd173d15e25bce77640185780004a8fe39d1afe",
+        "ebb00bcfbb11ee34f43c6eca42ccd2e3cfe43f678f2019cbfcd066f7d1fe6e69",
+    ),
+    "count --n 10": (
+        "0268ef3422974ac4e0dcbe7a8547bcece8929b7ca86c9bbe2dce1a329c9511bf",
+        "0e60370c01ce936718c623046639bae401a6d94a358cfee3cb86928a01d4a02a",
+        "904905c36f06e56e8b5108d0ebd4061cdb5566b2774ab19e84c498fd02eab8e3",
+    ),
+    "count --n 5 --length 0": (
+        "affb01febced95034619cc273e3bfeb0fbf1a8ac3e85b0b1ce9995b1ec79871f",
+        "559d374684f9e60e6154ea0ee0934846f29e6c6db51657e09bcbd2becfbd0f50",
+        "c22fbfb22f0352f3d998b6739926bc8ac9f886a504500170ceb3f2474e4cd75b",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+def test_golden_stdout(command, fmt):
+    status, text = _run(command.split() + ["--format", fmt])
+    assert status == 0
+    expected = GOLDEN_STDOUT[command][["table", "csv", "json"].index(fmt)]
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 def test_stats_table():
@@ -215,3 +308,44 @@ def test_global_flags_before_subcommand():
     _, a = _run(["--format", "json", "count", "--n", "10"])
     _, b = _run(["count", "--n", "10", "--format", "json"])
     assert a == b
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--parts", "5,x"],
+    ["integral", "--parts", "2.5"],
+    ["stats", "--mults", "1,x"],
+    ["derived-seq", "--mults", "1;2"],
+])
+def test_malformed_partition_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv, out=io.StringIO())
+    assert exc.value.code == 2
+    assert "argument --" in capsys.readouterr().err
+
+
+def test_decimal_digits_upper_bound():
+    status, text = _run(["integral", "--parts", "2,1", "--decimal-digits", "4300", "--format", "json"])
+    assert status == 0
+    assert len(json.loads(text)["decimal"]) == 4302
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(["integral", "--parts", "2,1", "--decimal-digits", "4301"], out=io.StringIO())
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+
+
+def test_oversize_full_partition_exits_1(capsys):
+    start = time.perf_counter()
+    status, text = _run(
+        ["density", "--target", "1/10^9", "--epsilon", "1/10^12", "--full-partition", "--format", "json"]
+    )
+    assert status == 1 and text == ""
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_collide_takes_no_jobs():
+    with pytest.raises(SystemExit) as exc:
+        run(["collide", "--n", "12", "--length", "3", "--order", "2", "--jobs", "1"], out=io.StringIO())
+    assert exc.value.code == 2
