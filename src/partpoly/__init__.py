@@ -34,7 +34,6 @@ from .partitions import (
     CountTable,
     Partition,
     PartitionStats,
-    count_fixed_length,
     count_partitions,
     iter_partitions,
     stats,
@@ -66,7 +65,6 @@ __all__ = [
     "beta",
     "check_conjecture",
     "collision_search",
-    "count_fixed_length",
     "count_partitions",
     "deriv_recursive_eval",
     "derivative_profile",

@@ -14,13 +14,12 @@ this down at n = 4, where the corrected form gives 17/48.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .exact import harmonic
-from .partitions import CountTable, count_fixed_length
+from .partitions import CountTable, count_partitions
 
 
 @dataclass(frozen=True)
@@ -102,6 +101,9 @@ def check_conjecture(n_max, jobs=1, progress=None):
         raise DomainError("need n_max >= 1")
     ns = range(1, n_max + 1)
     if jobs > 1:
+        # Imported here: the pool machinery costs every CLI start ~20 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = []
             for report in pool.map(avg_table, ns):
@@ -150,7 +152,7 @@ def avg3_lower_bound(n):
     """
     if n < 4:
         raise DomainError("need n >= 4")
-    num_parts = 3 * count_fixed_length(n, 3)
+    num_parts = 3 * count_partitions(n, 3)
     a = n / 2 - 1
     b = (n / 2) / (n - 2)
     # ∫ g/(x+1) = (a+b)·ln(x+1) − b·x, evaluated over [1, n−1]

@@ -15,7 +15,6 @@ import sys
 from .averages import avg, avg_table, check_conjecture
 from .calculus import (
     deriv_recursive_eval,
-    derivative_profile,
     derived_partition,
     diff,
     poly_of,
@@ -24,7 +23,7 @@ from .density import approximate
 from .errors import DomainError
 from .exact import format_rational, parse_rational, rational_to_decimal
 from .integrals import integral
-from .partitions import Partition, count_partitions
+from .partitions import CountTable, Partition, count_partitions
 from .search import collision_search
 
 # Python refuses int -> str conversions past 4300 digits by default (see
@@ -35,6 +34,16 @@ MAX_DECIMAL_DIGITS = 4300
 # 1..s, about 11 bytes of JSON and 80 bytes of memory apiece, so a larger
 # s is refused before the list is built (1/10^9 has s = 1,499,999,999).
 MAX_FULL_PARTITION = 10 ** 6
+
+# `count` refuses a call whose step estimate passes this: n^1.5 for p(n),
+# (n − ℓ)·ℓ for p(n, ℓ), and (n − ℓ)^1.5 once ℓ >= n − ℓ.  p(46,000) is
+# about 10^7 steps and takes 2 s; p(10^5) takes 12 s.
+MAX_COUNT_STEPS = 10 ** 7
+
+# `count` up to this n reads the CountTable triangle that `avg` reads (5,151
+# cells at most), so the benchmark's smoke-size `count` still traces a table
+# fill; past it the triangle grows as n² and count_partitions answers.
+TABLE_COUNT_MAX_N = 100
 
 
 def _int_list(text):
@@ -62,14 +71,6 @@ def _partition(args):
     if args.parts is not None:
         return Partition.from_parts(args.parts)
     return Partition(args.mults)
-
-
-def _log2_int(n):
-    # math.log2 overflows for huge ints; scale by the bit length first
-    bl = n.bit_length()
-    if bl <= 900:
-        return math.log2(n)
-    return (bl - 1) + math.log2(n / (1 << (bl - 1)))
 
 
 def _emit(rows, doc, fmt, out):
@@ -160,25 +161,28 @@ def _cmd_integral(args):
     return [row], dict(row, partition=p.to_json()), None
 
 
-def _avg_row(n, length, value, digits):
+def _avg_row(n, length, value, digits, table):
     return {
         "n": n,
         "length": length,
         "avg_exact": format_rational(value),
         "avg_decimal": rational_to_decimal(value, digits),
-        "p_n_l": str(count_partitions(n, length)),
+        "p_n_l": str(table.count(n, length)),
     }
 
 
 def _cmd_avg(args):
-    row = _avg_row(args.n, args.length, avg(args.n, args.length), args.decimal_digits)
+    table = CountTable()
+    value = avg(args.n, args.length, table)
+    row = _avg_row(args.n, args.length, value, args.decimal_digits, table)
     return [row], row, None
 
 
 def _cmd_avg_table(args):
-    report = avg_table(args.n)
+    table = CountTable()
+    report = avg_table(args.n, table)
     rows = [
-        _avg_row(report.n, l, value, args.decimal_digits)
+        _avg_row(report.n, l, value, args.decimal_digits, table)
         for l, value in enumerate(report.values, start=1)
     ]
     doc = {
@@ -216,7 +220,7 @@ def _step_summary(step):
     s = step.start_index
     return {
         "largest_part": s,
-        "length_log2": round(_log2_int(sum(step.weights) * s), 6),
+        "length_log2": round(math.log2(sum(step.weights) * s), 6),
         "support_size": 2,
     }
 
@@ -255,22 +259,22 @@ def _cmd_density(args):
 def _cmd_collide(args):
     report = collision_search(args.n, args.length, args.order)
     rows = [
-        {
-            "group": gi,
-            "partition": str(p),
-            "profile_prefix": ",".join(
-                str(v) for v in derivative_profile(p)[: args.order + 1]
-            ),
-        }
-        for gi, group in enumerate(report.groups)
+        {"group": gi, "partition": str(p), "profile_prefix": ",".join(map(str, key))}
+        for gi, (key, group) in enumerate(zip(report.keys, report.groups))
         for p in group
     ]
     return rows, report.to_json(), None if report.groups else "no collisions"
 
 
 def _cmd_count(args):
-    count = count_partitions(args.n, args.length)
-    row = {"n": args.n, "length": args.length, "count": str(count)}
+    n, length = args.n, args.length
+    m = n if length is None else n - length
+    steps = m * length if length is not None and length < m else m * math.isqrt(max(m, 0))
+    if steps > MAX_COUNT_STEPS:
+        raise DomainError(f"count would take about {steps} steps; the limit is {MAX_COUNT_STEPS}")
+    small = 0 <= n <= TABLE_COUNT_MAX_N
+    count = CountTable().count(n, length) if small else count_partitions(n, length)
+    row = {"n": n, "length": length, "count": str(count)}
     return [row], row, None
 
 

@@ -229,27 +229,34 @@ class CountTable:
         return self._rows[n][length]
 
 
-_shared_table = CountTable()
-
-
 def count_partitions(n, length=None):
-    """p(n), or p(n, ℓ) when `length` is given, from the shared memo table."""
+    """p(n), or p(n, ℓ) when `length` is given, in O(n) memory.
+
+    p(n) follows Euler's pentagonal-number recurrence, about n^1.5 steps:
+    p(m) = Σ_{k≥1} (−1)^{k+1} [p(m − k(3k−1)/2) + p(m − k(3k+1)/2)].
+    p(n, ℓ) is the number of partitions of n − ℓ into parts ≤ ℓ (take one
+    from each part and conjugate), by a coin DP in (n − ℓ)·ℓ steps; when
+    ℓ ≥ n − ℓ the bound is void and the count is p(n − ℓ).
+    """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    return _shared_table.count(n, length)
-
-
-def count_fixed_length(n, length):
-    """p(n, ℓ) for a single ℓ without the full triangle: O(n·ℓ) time and
-    O(n) memory.  Used for large-n diagnostics where ℓ is tiny."""
-    if n < 0 or length < 0:
-        raise DomainError("arguments must be nonnegative")
-    if length == 0:
-        return 1 if n == 0 else 0
-    prev = [1] + [0] * n  # p(m, 0)
-    for l in range(1, length + 1):
-        cur = [0] * (n + 1)
-        for m in range(l, n + 1):
-            cur[m] = prev[m - 1] + (cur[m - l] if m - l >= 0 else 0)
-        prev = cur
-    return prev[n]
+    if length is not None:
+        if length < 0 or length > n:
+            return 0
+        n -= length
+        if length < n:
+            ways = [1] + [0] * n
+            for part in range(1, length + 1):
+                for m in range(part, n + 1):
+                    ways[m] += ways[m - part]
+            return ways[n]
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        total, k, g = 0, 1, 1  # g = k(3k−1)/2
+        while g <= m:
+            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            total = total + term if k % 2 else total - term
+            k += 1
+            g += 3 * k - 2
+        p[m] = total
+    return p[n]

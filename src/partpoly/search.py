@@ -39,6 +39,7 @@ class CollisionReport:
     length: int
     order: int
     groups: tuple  # tuples of Partition sharing a profile prefix, size >= 2
+    keys: tuple  # each group's profile prefix, f^(d)(1) for d <= order
 
     def to_json(self):
         return {
@@ -59,12 +60,13 @@ def collision_search(n, length, order):
         raise DomainError("need order >= 1")
     buckets = {}
     for p in iter_partitions(n, length):
-        key = tuple(_padded_profile(p, order)[: order + 1])
+        # f^(d)(1) > 0 up to the largest part and 0 beyond it, so the
+        # unpadded prefix groups exactly as the zero-padded one would.
+        key = tuple(derivative_profile(p)[: order + 1])
         buckets.setdefault(key, []).append(p)
-    groups = tuple(
-        tuple(g) for g in buckets.values() if len(g) >= 2
-    )
-    return CollisionReport(n, length, order, groups)
+    keys = tuple(k for k, g in buckets.items() if len(g) >= 2)
+    groups = tuple(tuple(buckets[k]) for k in keys)
+    return CollisionReport(n, length, order, groups, keys)
 
 
 def smallest_collision_size(length, order, n_max=200):

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from partpoly import Partition
-from partpoly.cli import build_parser, run
+import partpoly.search
+from partpoly import Partition, collision_search, count_partitions, iter_partitions
+from partpoly.cli import MAX_COUNT_STEPS, build_parser, run
 
 
 def _run(argv):
@@ -236,6 +237,76 @@ def test_count_subcommand():
     assert json.loads(text)["count"] == "42"
     _, text = _run(["count", "--n", "5", "--length", "2", "--format", "json"])
     assert json.loads(text)["count"] == "2"
+
+
+@pytest.mark.parametrize("n", [0, 1, 50, 100, 101, 150])
+def test_count_agrees_on_both_sides_of_the_table_cutoff(n):
+    for length in (None, -1, 0, 1, n // 3, n, n + 1):
+        argv = ["count", "--n", str(n)] + ([] if length is None else ["--length", str(length)])
+        _, text = _run(argv)
+        assert text.split()[-1] == str(count_partitions(n, length))
+
+
+def test_count_large_n_is_fast():
+    start = time.perf_counter()
+    status, text = _run(["count", "--n", "10000", "--format", "json"])
+    assert status == 0
+    assert time.perf_counter() - start < 5
+    assert len(json.loads(text)["count"]) == 107  # p(10^4) ≈ 3.6·10^106
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "100000"],
+    ["count", "--n", "10000000", "--length", "1000"],
+    ["count", "--n", "200000", "--length", "100000"],
+])
+def test_oversized_count_exits_1(argv, capsys):
+    start = time.perf_counter()
+    status, text = _run(argv)
+    assert status == 1 and text == ""
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(MAX_COUNT_STEPS) in err
+
+
+def test_count_length_near_n_is_cheap():
+    # p(n, ℓ) with ℓ ≥ n − ℓ is p(n − ℓ), estimated at (n − ℓ)^1.5
+    status, text = _run(["count", "--n", "10000000000", "--length", "9999999900"])
+    assert status == 0 and text.split()[-1] == str(count_partitions(100))
+
+
+def test_avg_p_n_l_matches_enumeration():
+    for n in range(1, 13):
+        totals = {}
+        for p in iter_partitions(n):
+            totals[p.length] = totals.get(p.length, 0) + 1
+        _, text = _run(["avg-table", "--n", str(n), "--format", "json"])
+        assert [v["p_n_l"] for v in json.loads(text)["values"]] == [
+            str(totals[l]) for l in range(1, n + 1)
+        ]
+        for l in range(1, n + 1):
+            _, text = _run(["avg", "--n", str(n), "--length", str(l), "--format", "json"])
+            assert json.loads(text)["p_n_l"] == str(totals[l])
+
+
+def test_collide_profiles_each_partition_once(monkeypatch):
+    calls = []
+    profile = partpoly.search.derivative_profile
+    monkeypatch.setattr(partpoly.search, "derivative_profile", lambda p: calls.append(p) or profile(p))
+    status, _ = _run(["collide", "--n", "12", "--length", "3", "--order", "2"])
+    assert status == 0
+    assert len(calls) == count_partitions(12, 3)
+    assert collision_search(12, 3, 2).groups  # the rows were not empty
+
+
+def test_import_leaves_out_the_process_pool():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, partpoly.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_count_length_zero_is_printed():

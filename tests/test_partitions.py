@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partpoly import (
+    CountTable,
     DomainError,
     Partition,
     count_partitions,
@@ -151,6 +152,31 @@ def test_count_matches_enumeration():
         assert count_partitions(n) == sum(1 for _ in iter_partitions(n))
         for l in range(1, n + 1):
             assert count_partitions(n, l) == sum(1 for _ in iter_partitions(n, l))
+
+
+def test_count_edge_cases():
+    assert count_partitions(0) == 1
+    assert count_partitions(0, 0) == 1
+    assert count_partitions(5, 0) == 0
+    assert count_partitions(5, -1) == 0
+    assert count_partitions(5, 7) == 0
+    with pytest.raises(DomainError):
+        count_partitions(-1)
+
+
+def test_count_matches_count_table():
+    # the pentagonal recurrence and the coin DP against the full triangle
+    table = CountTable()
+    for n in range(81):
+        assert count_partitions(n) == table.count(n)
+        for l in range(-1, n + 2):
+            assert count_partitions(n, l) == table.count(n, l), (n, l)
+
+
+def test_count_matches_sympy():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    for n in list(range(300)) + [3000]:
+        assert count_partitions(n) == int(numbers.partition(n)), n
 
 
 def test_json_round_trip():

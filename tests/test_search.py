@@ -45,6 +45,15 @@ def test_collision_search_12_3_2():
     assert any(target == set(g) for g in report.groups)
 
 
+def test_collision_keys_are_profile_prefixes():
+    for n, length, order in [(12, 3, 2), (20, 4, 3), (11, 5, 2)]:
+        report = collision_search(n, length, order)
+        assert len(report.keys) == len(report.groups)
+        for key, group in zip(report.keys, report.groups):
+            for p in group:
+                assert key == tuple(derivative_profile(p)[: order + 1])
+
+
 def test_collision_groups_consistent_with_orders():
     report = collision_search(12, 3, 2)
     for group in report.groups:
