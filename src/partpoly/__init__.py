@@ -5,6 +5,7 @@ from .calculus import (
     IntPolynomial,
     deriv_recursive_eval,
     derivative_profile,
+    derivative_values,
     derived_partition,
     diff,
     poly_of,
@@ -68,6 +69,7 @@ __all__ = [
     "count_partitions",
     "deriv_recursive_eval",
     "derivative_profile",
+    "derivative_values",
     "derived_partition",
     "diff",
     "distinguishing_order",

@@ -1,9 +1,9 @@
 """Partition polynomials and their derivatives.
 
-Two independent routes to derivative values are kept side by side: formal
-power-rule differentiation of the integer polynomial (the oracle), and the
-Stirling-number recursion evaluated bottom-up at a fixed point x.  The test
-suite asserts exact agreement between the two on every partition it touches.
+Every derivative value comes from formal power-rule differentiation of the
+integer polynomial, evaluated by Horner's rule.  The paper's Stirling-number
+recursion is kept as the independent oracle: the test suite asserts exact
+agreement between the two on every partition it touches.
 """
 
 from fractions import Fraction
@@ -90,11 +90,12 @@ def poly_of(partition):
 
 
 def diff(polynomial, order=1):
-    """Formal derivative, iterated `order` times."""
+    """Formal derivative, iterated `order` times.  At most degree + 1
+    steps run: past them the polynomial is zero."""
     if order < 0:
         raise DomainError("derivative order must be nonnegative")
     p = polynomial
-    for _ in range(order):
+    for _ in range(min(order, p.degree + 1)):
         p = p.diff()
     return p
 
@@ -106,8 +107,9 @@ def deriv_recursive_eval(partition, d, x):
         f^(d)(x) = Σ_i i^d·m_i·x^(i-d) − Σ_{j<d} S(d,j)·x^(j-d)·f^(j)(x),
 
     with lower-order values memoized at the fixed x.  Requires x ≠ 0 because
-    the recursion contains negative powers of x; use the formal-derivative
-    path for x = 0.  Returns 0 for d beyond the largest part.
+    the recursion contains negative powers of x; derivative_values covers
+    x = 0.  Returns 0 for d beyond the largest part.  The CLI computes
+    derivatives formally; this is the paper's theorem and the tests' oracle.
     """
     if d < 0:
         raise DomainError("derivative order must be nonnegative")
@@ -136,34 +138,27 @@ def deriv_recursive_eval(partition, d, x):
     return values[d]
 
 
+def derivative_values(partition, x):
+    """The values [f^(0)(x), f^(1)(x), ..., f^(k)(x)] at any rational x,
+    by formal differentiation once per order; f^(d)(x) = 0 for d > k."""
+    values = []
+    p = poly_of(partition)
+    for _ in range(partition.largest_part + 1):
+        values.append(p.evaluate(x))
+        p = p.diff()
+    return values
+
+
 def derivative_profile(partition):
     """The vector [f^(0)(1), f^(1)(1), ..., f^(k)(1)] of derivative values
     at x = 1; entry 0 is the length and entry 1 the size."""
-    profile = []
-    p = poly_of(partition)
-    for _ in range(partition.largest_part + 1):
-        profile.append(int(p.evaluate(1)))
-        p = p.diff()
-    return profile
+    return [int(v) for v in derivative_values(partition, 1)]
 
 
 def derived_partition(partition, d):
     """The partition encoding the d-th derivative of the partition
-    polynomial: part j gets multiplicity ((j+d)!/j!)·m_{j+d}.  The
-    derivative's constant term d!·m_d would be a part of size zero and is
-    excluded, so poly_of of the result is the derivative minus that
-    constant.  Empty for d ≥ k."""
-    if d < 0:
-        raise DomainError("derivative order must be nonnegative")
-    k = partition.largest_part
-    if d >= k:
-        return Partition()
-    mults = []
-    for j in range(1, k - d + 1):
-        m = partition.multiplicity(j + d)
-        # (j+d)!/j! computed incrementally to avoid full factorials
-        scale = 1
-        for t in range(j + 1, j + d + 1):
-            scale *= t
-        mults.append(scale * m)
-    return Partition(mults)
+    polynomial: its coefficients past the constant term, so part j gets
+    multiplicity ((j+d)!/j!)·m_{j+d}.  The constant d!·m_d would be a part
+    of size zero and is excluded, so poly_of of the result is the
+    derivative minus that constant.  Empty for d ≥ k."""
+    return Partition(diff(poly_of(partition), d).coefficients[1:])

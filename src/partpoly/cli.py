@@ -13,12 +13,7 @@ import math
 import sys
 
 from .averages import avg, avg_table, check_conjecture
-from .calculus import (
-    deriv_recursive_eval,
-    derived_partition,
-    diff,
-    poly_of,
-)
+from .calculus import derivative_values, derived_partition, diff, poly_of
 from .density import approximate
 from .errors import DomainError
 from .exact import format_rational, parse_rational, rational_to_decimal
@@ -39,6 +34,14 @@ MAX_FULL_PARTITION = 10 ** 6
 # (n − ℓ)·ℓ for p(n, ℓ), and (n − ℓ)^1.5 once ℓ >= n − ℓ.  p(46,000) is
 # about 10^7 steps and takes 2 s; p(10^5) takes 12 s.
 MAX_COUNT_STEPS = 10 ** 7
+
+# `avg`, `avg-table` and `conjecture` fill the CountTable triangle, (n+1)(n+2)/2
+# ints of about 36 bytes: `avg --n 3000` fills 4.5·10^6 cells in 1.3 s and
+# 160 MB.  `avg-table` then sums about n² fractions (n = 1000 takes 4.7 s), and
+# `conjecture` runs it for every n up to its bound (200 takes 8 s, as n^3.2).
+MAX_TABLE_CELLS = 5 * 10 ** 6
+MAX_AVG_TABLE_N = 1000
+MAX_CONJECTURE_N = 200
 
 # `count` up to this n reads the CountTable triangle that `avg` reads (5,151
 # cells at most), so the benchmark's smoke-size `count` still traces a table
@@ -65,6 +68,12 @@ def _decimal_digits(text):
     if value > MAX_DECIMAL_DIGITS:
         raise argparse.ArgumentTypeError(f"must be <= {MAX_DECIMAL_DIGITS}, got {value}")
     return value
+
+
+def _refuse_over(value, limit, message):
+    """Refuse a call whose size estimate passes its limit, before any work."""
+    if value > limit:
+        raise DomainError(f"{message.format(value)}; the limit is {limit}")
 
 
 def _partition(args):
@@ -121,20 +130,18 @@ def _cmd_poly(args):
 def _cmd_derivatives(args):
     p = _partition(args)
     x = parse_rational(args.at)
-    orders = range(p.largest_part + 1) if args.order is None else [args.order]
-    rows = []
-    for d in orders:
-        if x == 0:
-            value = diff(poly_of(p), d).evaluate(0)
-        else:
-            value = deriv_recursive_eval(p, d, x)
-        rows.append(
-            {
-                "order": d,
-                "value": format_rational(value),
-                "decimal": rational_to_decimal(value, args.decimal_digits),
-            }
-        )
+    if args.order is None:
+        values = enumerate(derivative_values(p, x))
+    else:
+        values = [(args.order, diff(poly_of(p), args.order).evaluate(x))]
+    rows = [
+        {
+            "order": d,
+            "value": format_rational(value),
+            "decimal": rational_to_decimal(value, args.decimal_digits),
+        }
+        for d, value in values
+    ]
     doc = {"partition": p.to_json(), "at": format_rational(x), "values": rows}
     return rows, doc, None
 
@@ -172,6 +179,8 @@ def _avg_row(n, length, value, digits, table):
 
 
 def _cmd_avg(args):
+    m = max(args.n, 0)
+    _refuse_over((m + 1) * (m + 2) // 2, MAX_TABLE_CELLS, "avg would fill {} table cells")
     table = CountTable()
     value = avg(args.n, args.length, table)
     row = _avg_row(args.n, args.length, value, args.decimal_digits, table)
@@ -179,6 +188,7 @@ def _cmd_avg(args):
 
 
 def _cmd_avg_table(args):
+    _refuse_over(args.n, MAX_AVG_TABLE_N, "avg-table --n is {}")
     table = CountTable()
     report = avg_table(args.n, table)
     rows = [
@@ -195,6 +205,8 @@ def _cmd_avg_table(args):
 
 
 def _cmd_conjecture(args):
+    _refuse_over(args.max_n, MAX_CONJECTURE_N, "conjecture --max-n is {}")
+
     def progress(n, n_max):
         print(f"n={n}/{n_max}", file=sys.stderr)
 
@@ -227,11 +239,9 @@ def _step_summary(step):
 
 def _cmd_density(args):
     trace = approximate(parse_rational(args.target), parse_rational(args.epsilon))
-    if args.full_partition and trace.start_index > MAX_FULL_PARTITION:
-        raise DomainError(
-            f"--full-partition would list {trace.start_index} multiplicities;"
-            f" the limit is {MAX_FULL_PARTITION}"
-        )
+    if args.full_partition:
+        _refuse_over(trace.start_index, MAX_FULL_PARTITION,
+                     "--full-partition would list {} multiplicities")
     rows, steps = [], []
     for s in trace.steps:
         head = {
@@ -270,8 +280,7 @@ def _cmd_count(args):
     n, length = args.n, args.length
     m = n if length is None else n - length
     steps = m * length if length is not None and length < m else m * math.isqrt(max(m, 0))
-    if steps > MAX_COUNT_STEPS:
-        raise DomainError(f"count would take about {steps} steps; the limit is {MAX_COUNT_STEPS}")
+    _refuse_over(steps, MAX_COUNT_STEPS, "count would take about {} steps")
     small = 0 <= n <= TABLE_COUNT_MAX_N
     count = CountTable().count(n, length) if small else count_partitions(n, length)
     row = {"n": n, "length": length, "count": str(count)}

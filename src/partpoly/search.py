@@ -8,27 +8,21 @@ a given pair (or that no order does, up to the largest part).
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .calculus import derivative_profile
 from .errors import DomainError
 from .partitions import iter_partitions
 
 
-def _padded_profile(partition, upto):
-    # f^(d)(1) = 0 for d beyond the largest part
-    profile = derivative_profile(partition)
-    return profile + [0] * (upto + 1 - len(profile))
-
-
 def distinguishing_order(lam, mu):
     """Smallest d with f_λ^(d)(1) ≠ f_μ^(d)(1), scanning d up to the larger
     of the two largest parts; None when no order in that range separates
     them (identical partitions, or an unresolved unequal pair)."""
-    bound = max(lam.largest_part, mu.largest_part)
-    pa = _padded_profile(lam, bound)
-    pb = _padded_profile(mu, bound)
-    for d in range(bound + 1):
-        if pa[d] != pb[d]:
+    # f^(d)(1) = 0 for d beyond the largest part
+    pairs = zip_longest(derivative_profile(lam), derivative_profile(mu), fillvalue=0)
+    for d, (a, b) in enumerate(pairs):
+        if a != b:
             return d
     return None
 

@@ -8,6 +8,7 @@ from partpoly import (
     Partition,
     deriv_recursive_eval,
     derivative_profile,
+    derivative_values,
     derived_partition,
     diff,
     iter_partitions,
@@ -36,6 +37,11 @@ def test_diff_examples():
 def test_diff_higher_orders():
     assert diff(poly_of(LAMBDA2), 3).coefficients == (6, 24)
     assert diff(poly_of(LAMBDA2), 5).is_zero
+    # stops once the polynomial is zero instead of looping `order` times
+    assert diff(poly_of(LAMBDA2), 10 ** 12).is_zero
+    assert diff(IntPolynomial(), 10 ** 12).is_zero
+    with pytest.raises(DomainError):
+        diff(poly_of(LAMBDA2), -1)
 
 
 def test_evaluate_examples():
@@ -67,15 +73,22 @@ def test_recursive_eval_matches_oracle_spot():
 
 
 def test_recursion_equals_oracle_small_sizes():
-    # exhaustive n <= 9 here; the acceptance suite pushes this to n <= 12
-    points = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(-1, 3)]
+    # exhaustive n <= 9 here; the acceptance suite pushes this to n <= 12.
+    # derivative_values must match the recursion away from 0, where the
+    # recursion is undefined, and the iterated formal derivative at 0.
+    points = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(-1, 3), Fraction(0)]
     for n in range(10):
         for p in iter_partitions(n):
             poly = poly_of(p)
             for x in points:
+                values = derivative_values(p, x)
+                assert len(values) == p.largest_part + 1
                 q = poly
-                for d in range(p.largest_part + 1):
-                    assert deriv_recursive_eval(p, d, x) == q.evaluate(x)
+                for d, value in enumerate(values):
+                    if x != 0:
+                        assert deriv_recursive_eval(p, d, x) == q.evaluate(x) == value
+                    else:
+                        assert value == diff(poly, d).evaluate(0)
                     q = q.diff()
 
 
@@ -105,6 +118,29 @@ def test_derived_partition_section3_example():
     assert derived_partition(SEC3, 2) == Partition([18, 12])
     assert derived_partition(SEC3, 3) == Partition([24])
     assert derived_partition(SEC3, 4) == Partition()
+
+
+def _derived_partition_by_factorials(partition, d):
+    # the factorial-product formula: part j gets ((j+d)!/j!)·m_{j+d}
+    k = partition.largest_part
+    if d >= k:
+        return Partition()
+    mults = []
+    for j in range(1, k - d + 1):
+        scale = 1
+        for t in range(j + 1, j + d + 1):
+            scale *= t
+        mults.append(scale * partition.multiplicity(j + d))
+    return Partition(mults)
+
+
+def test_derived_partition_matches_factorial_formula():
+    for n in range(13):
+        for p in iter_partitions(n):
+            with pytest.raises(DomainError):
+                derived_partition(p, -1)
+            for d in range(p.largest_part + 3):
+                assert derived_partition(p, d) == _derived_partition_by_factorials(p, d)
 
 
 def test_derived_partition_polynomials_are_derivatives():

@@ -2,17 +2,26 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import partpoly.search
 from partpoly import Partition, collision_search, count_partitions, iter_partitions
-from partpoly.cli import MAX_COUNT_STEPS, build_parser, run
+from partpoly.cli import (
+    MAX_AVG_TABLE_N,
+    MAX_CONJECTURE_N,
+    MAX_COUNT_STEPS,
+    MAX_TABLE_CELLS,
+    build_parser,
+    run,
+)
 
 
 def _run(argv):
@@ -145,6 +154,26 @@ def test_derivatives_at_zero_uses_formal_path():
     assert [v["value"] for v in doc["values"]] == ["0", "1", "2"]
 
 
+def test_derivatives_huge_order_is_fast():
+    start = time.perf_counter()
+    status, text = _run(["derivatives", "--parts", "2,1", "--at", "0", "--order", "100000000"])
+    assert status == 0
+    assert text.splitlines()[1].split()[:2] == ["100000000", "0"]
+    assert time.perf_counter() - start < 1
+
+
+def test_derivatives_all_orders_at_150_is_fast():
+    # k = 150 at x = 1/2: one formal derivative per order, not a recursion
+    # rerun from scratch for each order
+    start = time.perf_counter()
+    status, text = _run(["derivatives", "--mults", ",".join(["1"] * 150), "--at", "1/2", "--format", "json"])
+    assert status == 0
+    assert time.perf_counter() - start < 5
+    values = json.loads(text)["values"]
+    assert [v["order"] for v in values] == list(range(151))
+    assert values[-1]["value"] == str(math.factorial(150))
+
+
 def test_integral_json():
     status, text = _run(["integral", "--parts", "5,2,2,1", "--format", "json"])
     assert status == 0
@@ -268,6 +297,33 @@ def test_oversized_count_exits_1(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(MAX_COUNT_STEPS) in err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["avg", "--n", "3160", "--length", "5"], None),
+    (["avg", "--n", "3161", "--length", "5"], MAX_TABLE_CELLS),
+    (["avg", "--n", "10000000000", "--length", "5"], MAX_TABLE_CELLS),
+    (["avg-table", "--n", str(MAX_AVG_TABLE_N + 1)], MAX_AVG_TABLE_N),
+    (["avg-table", "--n", "10000000000"], MAX_AVG_TABLE_N),
+    (["conjecture", "--max-n", str(MAX_CONJECTURE_N + 1)], MAX_CONJECTURE_N),
+    (["conjecture", "--max-n", "10000000000"], MAX_CONJECTURE_N),
+    (["conjecture", "--max-n", str(MAX_CONJECTURE_N + 1), "--jobs", "2"], MAX_CONJECTURE_N),
+])
+def test_oversized_averages_exit_1(argv, limit, capsys, monkeypatch):
+    # avg --n 3160 would fill 4,997,541 cells, the largest triangle allowed;
+    # avg and the table are stubbed so that the check alone is timed
+    monkeypatch.setattr("partpoly.cli.avg", lambda *args: Fraction(1, 2))
+    monkeypatch.setattr("partpoly.cli.CountTable.count", lambda *args: 0)
+    start = time.perf_counter()
+    status, text = _run(argv)
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    if limit is None:
+        assert status == 0 and err == ""
+        return
+    assert status == 1 and text == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(limit) in err
 
 
 def test_count_length_near_n_is_cheap():
