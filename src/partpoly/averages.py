@@ -14,7 +14,7 @@ this down at n = 4, where the corrected form gives 17/48.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
@@ -22,14 +22,11 @@ from .exact import harmonic
 from .partitions import CountTable, count_partitions
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
+class MultiplicityProfile(namedtuple("MultiplicityProfile", "n length counts")):
     """Total multiplicity of each part size over all partitions of n into
     `length` parts; counts[i-1] is the count for part size i."""
 
-    n: int
-    length: int
-    counts: tuple
+    __slots__ = ()
 
     @property
     def num_partitions(self):
@@ -37,12 +34,11 @@ class MultiplicityProfile:
         return sum(self.counts) // self.length
 
 
-@dataclass(frozen=True)
-class AvgReport:
-    n: int
-    values: tuple  # Avg(n, ℓ) for ℓ = 1..n
-    monotone: bool
-    first_violation: int | None  # smallest ℓ with values[ℓ-1] > values[ℓ]
+class AvgReport(namedtuple("AvgReport", "n values monotone first_violation")):
+    """values[ℓ-1] is Avg(n, ℓ) for ℓ = 1..n; first_violation is the smallest
+    ℓ with values[ℓ-1] > values[ℓ], or None when the row is monotone."""
+
+    __slots__ = ()
 
 
 def multiplicity_profile(n, length, table=None):

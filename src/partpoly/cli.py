@@ -7,8 +7,6 @@ rounded to --decimal-digits places.  Exit codes: 0 success, 1 domain error,
 """
 
 import argparse
-import csv
-import json
 import math
 import sys
 
@@ -43,6 +41,13 @@ MAX_TABLE_CELLS = 5 * 10 ** 6
 MAX_AVG_TABLE_N = 1000
 MAX_CONJECTURE_N = 200
 
+# `collide` profiles each of the p(n, ℓ) partitions in about k² Fraction steps,
+# k <= n − ℓ + 1 its largest part, so it refuses past p(n, ℓ)·(n − ℓ + 1)² steps.
+# `collide --n 60 --length 5 --order 3` is 16.5·10^6 steps and takes 10.6 s.  The
+# estimate bounds the work from above, loosest for long parts: ℓ = 2 at n = 342
+# takes 24 s, and ℓ = 1 at n = 4,472 (profile values up to 4472!) 113 s.
+MAX_COLLIDE_STEPS = 2 * 10 ** 7
+
 # `count` up to this n reads the CountTable triangle that `avg` reads (5,151
 # cells at most), so the benchmark's smoke-size `count` still traces a table
 # fill; past it the triangle grows as n² and count_partitions answers.
@@ -58,16 +63,21 @@ def _int_list(text):
         ) from None
 
 
-def _decimal_digits(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    if value > MAX_DECIMAL_DIGITS:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_DECIMAL_DIGITS}, got {value}")
-    return value
+def _int_in(low, high=None):
+    """An argparse type for an integer in [low, high] (no upper end if None)."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+
+    return parse
 
 
 def _refuse_over(value, limit, message):
@@ -85,14 +95,19 @@ def _partition(args):
 def _emit(rows, doc, fmt, out):
     """Write `rows` (list of dicts, shared keys; None prints empty) as table
     or CSV, or `doc` as JSON.  Exact values are identical across formats by
-    construction."""
+    construction.  json and csv are imported only for their format, so a
+    table run starts without them."""
     if fmt == "json":
+        import json
+
         json.dump(doc, out, indent=2)
         out.write("\n")
     elif rows:
         keys = list(rows[0])
         lines = [keys] + [["" if r[k] is None else str(r[k]) for k in keys] for r in rows]
         if fmt == "csv":
+            import csv
+
             csv.writer(out).writerows(lines)
             return
         widths = [max(len(line[i]) for line in lines) for i in range(len(keys))]
@@ -267,7 +282,16 @@ def _cmd_density(args):
 
 
 def _cmd_collide(args):
-    report = collision_search(args.n, args.length, args.order)
+    n, length = args.n, args.length
+    if 1 <= length <= n:
+        # p(n, ℓ) >= (n − ℓ) // 2 + 1 for ℓ >= 2 (the partitions of n − ℓ into
+        # parts <= 2); refusing on that first leaves only cheap exact counts.
+        side = (n - length + 1) ** 2
+        low = (n - length) // 2 + 1 if length > 1 else 1
+        message = "collide would take about {} steps"
+        _refuse_over(low * side, MAX_COLLIDE_STEPS, message)
+        _refuse_over(count_partitions(n, length) * side, MAX_COLLIDE_STEPS, message)
+    report = collision_search(n, length, args.order)
     rows = [
         {"group": gi, "partition": str(p), "profile_prefix": ",".join(map(str, key))}
         for gi, (key, group) in enumerate(zip(report.keys, report.groups))
@@ -310,7 +334,7 @@ COMMANDS = {
             ["--n", "--length"]),
     "avg-table": (_cmd_avg_table, "average integrals for every length 1..n", ["--n"]),
     "conjecture": (_cmd_conjecture, "monotonicity scan of the average integrals",
-                   ["--max-n", ("--jobs", {"type": int, "default": 1})]),
+                   ["--max-n", ("--jobs", {"type": _int_in(1), "default": 1})]),
     "density": (_cmd_density, "construct a partition with prescribed integral", [
         ("--target", {"required": True, "help": "target integral, e.g. 1/3"}),
         ("--epsilon", {"required": True, "help": "error tolerance, e.g. 1/1000000"}),
@@ -336,7 +360,7 @@ def _global_flags(parser, suppress):
     )
     parser.add_argument(
         "--decimal-digits",
-        type=_decimal_digits,
+        type=_int_in(0, MAX_DECIMAL_DIGITS),
         default=argparse.SUPPRESS if suppress else 12,
         metavar="K",
         help="places for decimal annotation columns (default: 12)",

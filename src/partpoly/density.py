@@ -9,7 +9,7 @@ Step r's partition u·α(s) ⊕ v·β(s), u + v = 2^r, is kept as just (u, v).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
@@ -47,13 +47,13 @@ def beta_integral(s):
     return (Fraction(s - 1, 2) + Fraction(1, s + 1)) / s
 
 
-@dataclass(frozen=True)
-class DensityStep:
-    index: int
-    weights: tuple  # (u, v) with u + v = 2^index
-    start_index: int  # s of the edge partitions
-    integral: Fraction
-    error_bound: Fraction  # (b − a) / 2^index
+class DensityStep(
+    namedtuple("DensityStep", "index weights start_index integral error_bound")
+):
+    """Step r = index: edge weights (u, v) with u + v = 2^r, the edges' s,
+    the exact integral and the certified bound (b − a) / 2^r."""
+
+    __slots__ = ()
 
     @property
     def partition(self):
@@ -61,14 +61,13 @@ class DensityStep:
         return _edge_combination(self.start_index, *self.weights)
 
 
-@dataclass(frozen=True)
-class DensityTrace:
-    target: Fraction
-    epsilon: Fraction
-    start_index: int  # s of the edge partitions used for the bracket
-    interval: tuple  # (a, b) = starting bracket integrals
-    steps: tuple  # DensityStep per iteration
-    achieved_error: Fraction
+class DensityTrace(namedtuple(
+    "DensityTrace", "target epsilon start_index interval steps achieved_error"
+)):
+    """A construction: s of the edge partitions, the starting bracket
+    integrals (a, b), one DensityStep per iteration, and |∫ − c| reached."""
+
+    __slots__ = ()
 
     @property
     def result(self):

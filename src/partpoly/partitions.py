@@ -7,7 +7,7 @@ density construction doubles them every step and derived partitions scale
 them by factorial ratios.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .exact import nth_prime
@@ -146,11 +146,8 @@ class Partition:
         return f"Partition({self})"
 
 
-@dataclass(frozen=True)
-class PartitionStats:
-    length: int
-    size: int
-    largest_part: int
+class PartitionStats(namedtuple("PartitionStats", "length size largest_part")):
+    __slots__ = ()
 
 
 def stats(partition):

@@ -7,7 +7,7 @@ profile prefixes, and reports the smallest derivative order that separates
 a given pair (or that no order does, up to the largest part).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import zip_longest
 
 from .calculus import derivative_profile
@@ -27,13 +27,11 @@ def distinguishing_order(lam, mu):
     return None
 
 
-@dataclass(frozen=True)
-class CollisionReport:
-    n: int
-    length: int
-    order: int
-    groups: tuple  # tuples of Partition sharing a profile prefix, size >= 2
-    keys: tuple  # each group's profile prefix, f^(d)(1) for d <= order
+class CollisionReport(namedtuple("CollisionReport", "n length order groups keys")):
+    """groups are tuples of two or more Partitions sharing a profile prefix;
+    keys[i] is groups[i]'s prefix, f^(d)(1) for d <= order."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -11,11 +11,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import partpoly.search
-from partpoly import Partition, collision_search, count_partitions, iter_partitions
+from partpoly import (
+    CollisionReport,
+    Partition,
+    collision_search,
+    count_partitions,
+    format_rational,
+    iter_partitions,
+)
 from partpoly.cli import (
     MAX_AVG_TABLE_N,
+    MAX_COLLIDE_STEPS,
     MAX_CONJECTURE_N,
     MAX_COUNT_STEPS,
     MAX_TABLE_CELLS,
@@ -28,6 +37,22 @@ def _run(argv):
     out = io.StringIO()
     status = run(argv, out=out)
     return status, out.getvalue()
+
+
+def _python(*args):
+    """Run a fresh interpreter on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def _modules_loaded(statement, names):
+    """Which of `names` are in sys.modules after running `statement` in a
+    fresh interpreter."""
+    proc = _python("-c", f"import sys\n{statement}\nprint(sorted(set({names!r}) & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 # SHA-256 of stdout in table, CSV and JSON, pinned from the CLI as it was
@@ -194,6 +219,31 @@ def test_partition_json_round_trip():
     assert Partition.from_json(doc["partition"]) == Partition.from_parts([4, 3, 3, 3, 1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=8).filter(any),
+    st.sampled_from(["stats", "integral", "derivatives"]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+def test_formats_carry_identical_cells(mults, command, at):
+    argv = [command, "--mults", ",".join(map(str, mults))]
+    if command == "derivatives":
+        argv.append(f"--at={format_rational(at)}")
+    texts = {}
+    for fmt in ("table", "csv", "json"):
+        status, texts[fmt] = _run(argv + ["--format", fmt])
+        assert status == 0
+    table = [line.split() for line in texts["table"].splitlines()]
+    assert list(csv.reader(io.StringIO(texts["csv"]))) == table
+    doc = json.loads(texts["json"])
+    rows = doc["values"] if command == "derivatives" else [doc]
+    cells = [
+        [str(Partition.from_json(r[k])) if k == "partition" else str(r[k]) for k in table[0]]
+        for r in rows
+    ]
+    assert cells == table[1:]
+
+
 def test_csv_and_json_carry_identical_exact_values():
     _, csv_text = _run(["avg-table", "--n", "6", "--format", "csv"])
     _, json_text = _run(["avg-table", "--n", "6", "--format", "json"])
@@ -326,6 +376,31 @@ def test_oversized_averages_exit_1(argv, limit, capsys, monkeypatch):
     assert str(limit) in err
 
 
+@pytest.mark.parametrize("argv, allowed", [
+    (["--n", "60", "--length", "5", "--order", "3"], True),  # 16,495,360 steps
+    (["--n", "4472", "--length", "1", "--order", "1"], True),  # one partition, k² = 19,998,784
+    (["--n", "4473", "--length", "1", "--order", "1"], False),
+    (["--n", "200", "--length", "10", "--order", "2"], False),  # p(200, 10) = 807,151,588
+    (["--n", "10000000000", "--length", "5", "--order", "2"], False),
+    # counting these p(n, ℓ) would take 2.5·10^11 steps: the parts <= 2 bound refuses first
+    (["--n", "1000000", "--length", "499999", "--order", "2"], False),
+])
+def test_oversized_collide_exits_1(argv, allowed, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "partpoly.cli.collision_search", lambda n, l, d: CollisionReport(n, l, d, (), ())
+    )
+    start = time.perf_counter()
+    status, text = _run(["collide", *argv])
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    if allowed:
+        assert status == 0 and text == "no collisions\n" and err == ""
+        return
+    assert status == 1 and text == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(MAX_COLLIDE_STEPS) in err
+
+
 def test_count_length_near_n_is_cheap():
     # p(n, ℓ) with ℓ ≥ n − ℓ is p(n − ℓ), estimated at (n − ℓ)^1.5
     status, text = _run(["count", "--n", "10000000000", "--length", "9999999900"])
@@ -357,12 +432,16 @@ def test_collide_profiles_each_partition_once(monkeypatch):
 
 
 def test_import_leaves_out_the_process_pool():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    code = "import sys, partpoly.cli; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.stdout.strip() == "False", proc.stderr
+    # Nor dataclasses (and the inspect it loads) or the json and csv writers:
+    # together they cost each CLI start about 20 ms.
+    names = ["concurrent.futures.process", "csv", "dataclasses", "inspect", "json"]
+    assert _modules_loaded("import partpoly.cli", names) == "[]"
+
+
+@pytest.mark.parametrize("fmt, loaded", [("table", "[]"), ("csv", "['csv']"), ("json", "['json']")])
+def test_output_format_loads_only_its_writer(fmt, loaded):
+    statement = f"from partpoly.cli import run; run(['count', '--n', '10', '--format', '{fmt}'])"
+    assert _modules_loaded(statement, ["csv", "json"]) == loaded
 
 
 def test_count_length_zero_is_printed():
@@ -399,17 +478,21 @@ def test_bad_decimal_digits_is_usage_error(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_bad_jobs_is_usage_error(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["conjecture", "--max-n", "3", "--jobs", jobs], out=io.StringIO())
+    assert exc.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+
+
 def test_decimal_digits_zero():
     _, text = _run(["integral", "--parts", "2,1", "--decimal-digits", "0", "--format", "json"])
     assert json.loads(text)["decimal"] == "0"
 
 
 def test_python_dash_m():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "partpoly", "count", "--n", "10", "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _python("-m", "partpoly", "count", "--n", "10", "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == "42"
 

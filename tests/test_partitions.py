@@ -110,6 +110,7 @@ def test_oplus_associative(a, b, c):
 @given(partitions)
 def test_parts_round_trip(p):
     assert Partition.from_parts(p.parts()) == p
+    assert Partition.from_json(p.to_json()) == p
 
 
 def test_enumerate_examples():
