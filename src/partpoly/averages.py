@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exact import harmonic
-from .partitions import CountTable, count_partitions
+from .integrals import integral
+from .partitions import CountTable, Partition, count_partitions
 
 
 class MultiplicityProfile(namedtuple("MultiplicityProfile", "n length counts")):
@@ -59,17 +60,10 @@ def multiplicity_profile(n, length, table=None):
     return MultiplicityProfile(n, length, tuple(counts))
 
 
-def _profile_integral(profile):
-    total = sum(
-        Fraction(c, i + 1) for i, c in enumerate(profile.counts, start=1) if c
-    )
-    return total / sum(profile.counts)
-
-
 def avg(n, length, table=None):
     """Avg(n, ℓ): mean integral over all partitions of n into ℓ parts,
     computed as the integral of the combined partition."""
-    return _profile_integral(multiplicity_profile(n, length, table))
+    return integral(Partition(multiplicity_profile(n, length, table).counts))
 
 
 def avg_table(n, table=None):
@@ -77,7 +71,6 @@ def avg_table(n, table=None):
     if n < 1:
         raise DomainError("need n >= 1")
     table = table or CountTable()
-    table.ensure(n)
     values = tuple(avg(n, l, table) for l in range(1, n + 1))
     first_violation = None
     for l in range(1, n):
@@ -87,30 +80,14 @@ def avg_table(n, table=None):
     return AvgReport(n, values, first_violation is None, first_violation)
 
 
-def check_conjecture(n_max, jobs=1, progress=None):
-    """Monotonicity reports for every n = 1..n_max.
-
-    The scan parallelizes over n when jobs > 1; each cell is pure, and
-    reports are returned in n order either way.
-    """
+def check_conjecture(n_max, progress=None):
+    """Monotonicity reports for n = 1..n_max, in n order, from one serial
+    scan over one shared CountTable; progress(n, n_max) follows each n."""
     if n_max < 1:
         raise DomainError("need n_max >= 1")
-    ns = range(1, n_max + 1)
-    if jobs > 1:
-        # Imported here: the pool machinery costs every CLI start ~20 ms.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = []
-            for report in pool.map(avg_table, ns):
-                reports.append(report)
-                if progress:
-                    progress(report.n, n_max)
-            return reports
     table = CountTable()
-    table.ensure(n_max)
     reports = []
-    for n in ns:
+    for n in range(1, n_max + 1):
         reports.append(avg_table(n, table))
         if progress:
             progress(n, n_max)

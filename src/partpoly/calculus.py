@@ -90,14 +90,15 @@ def poly_of(partition):
 
 
 def diff(polynomial, order=1):
-    """Formal derivative, iterated `order` times.  At most degree + 1
-    steps run: past them the polynomial is zero."""
+    """Formal derivative, iterated `order` times; an order past the degree
+    gives the zero polynomial without differentiating."""
     if order < 0:
         raise DomainError("derivative order must be nonnegative")
-    p = polynomial
-    for _ in range(min(order, p.degree + 1)):
-        p = p.diff()
-    return p
+    if order > polynomial.degree:
+        return IntPolynomial()
+    for _ in range(order):
+        polynomial = polynomial.diff()
+    return polynomial
 
 
 def deriv_recursive_eval(partition, d, x):
@@ -138,15 +139,17 @@ def deriv_recursive_eval(partition, d, x):
     return values[d]
 
 
-def derivative_values(partition, x):
-    """The values [f^(0)(x), f^(1)(x), ..., f^(k)(x)] at any rational x,
-    by formal differentiation once per order; f^(d)(x) = 0 for d > k."""
-    values = []
+def _derivatives(partition):
+    """Yield f, f', ..., f^(k) by formal differentiation once per order."""
     p = poly_of(partition)
     for _ in range(partition.largest_part + 1):
-        values.append(p.evaluate(x))
+        yield p
         p = p.diff()
-    return values
+
+
+def derivative_values(partition, x):
+    """[f^(0)(x), f^(1)(x), ..., f^(k)(x)] at any rational x; 0 past k."""
+    return [p.evaluate(x) for p in _derivatives(partition)]
 
 
 def derivative_profile(partition):

@@ -11,10 +11,10 @@ import math
 import sys
 
 from .averages import avg, avg_table, check_conjecture
-from .calculus import derivative_values, derived_partition, diff, poly_of
+from .calculus import _derivatives, derivative_values, diff, poly_of
 from .density import approximate
 from .errors import DomainError
-from .exact import format_rational, parse_rational, rational_to_decimal
+from .exact import format_rational, nth_prime, parse_rational, rational_to_decimal
 from .integrals import integral
 from .partitions import CountTable, Partition, count_partitions
 from .search import collision_search
@@ -23,10 +23,20 @@ from .search import collision_search
 # sys.set_int_max_str_digits), so more decimal places could never be printed.
 MAX_DECIMAL_DIGITS = 4300
 
-# `density --full-partition` writes one multiplicity for each part size
-# 1..s, about 11 bytes of JSON and 80 bytes of memory apiece, so a larger
-# s is refused before the list is built (1/10^9 has s = 1,499,999,999).
-MAX_FULL_PARTITION = 10 ** 6
+# A partition holds one multiplicity per part size 1..k, about 80 bytes of
+# memory and 11 of JSON apiece: `--parts` with a larger part, and `density
+# --full-partition` with a larger s (1/10^9 has s = 1,499,999,999), are refused
+# before the list is built.  `poly --parts 1000000` takes 7 s and 540 MB.
+MAX_LARGEST_PART = 10 ** 6
+
+# All-orders `derivatives` and `derived-seq` always print k!·m_k: it is
+# f^(k), and λ^(k−1)'s multiplicity of part 1.  1559 is the smallest k with
+# k! >= 10^4300, which Python cannot print (see MAX_DECIMAL_DIGITS).
+MAX_ALL_ORDERS_PART = 1558
+
+# 2^14285 > 10^4300 > 2^14284: a supernorm with a lower bound on its bit
+# length past this has more digits than Python prints.
+MAX_SUPERNORM_BITS = 14284
 
 # `count` refuses a call whose step estimate passes this: n^1.5 for p(n),
 # (n − ℓ)·ℓ for p(n, ℓ), and (n − ℓ)^1.5 once ℓ >= n − ℓ.  p(46,000) is
@@ -88,6 +98,7 @@ def _refuse_over(value, limit, message):
 
 def _partition(args):
     if args.parts is not None:
+        _refuse_over(max(args.parts, default=0), MAX_LARGEST_PART, "--parts has a part {}")
         return Partition.from_parts(args.parts)
     return Partition(args.mults)
 
@@ -122,6 +133,11 @@ def _emit(rows, doc, fmt, out):
 
 def _cmd_stats(args):
     p = _partition(args)
+    # p_i >= 2^(bit_length(p_i) − 1), so this sum bounds log2(supernorm) from below
+    bits = sum(
+        m * (nth_prime(i).bit_length() - 1) for i, m in enumerate(p.multiplicities, 1) if m
+    )
+    _refuse_over(bits, MAX_SUPERNORM_BITS, "the supernorm has at least {} bits")
     row = {
         "partition": str(p),
         "length": p.length,
@@ -146,6 +162,7 @@ def _cmd_derivatives(args):
     p = _partition(args)
     x = parse_rational(args.at)
     if args.order is None:
+        _refuse_over(p.largest_part, MAX_ALL_ORDERS_PART, "all orders of a largest part {}")
         values = enumerate(derivative_values(p, x))
     else:
         values = [(args.order, diff(poly_of(p), args.order).evaluate(x))]
@@ -163,9 +180,10 @@ def _cmd_derivatives(args):
 
 def _cmd_derived_seq(args):
     p = _partition(args)
+    _refuse_over(p.largest_part, MAX_ALL_ORDERS_PART, "all orders of a largest part {}")
     rows, seq = [], []
-    for d in range(p.largest_part + 1):
-        dp = derived_partition(p, d)
+    for d, q in enumerate(_derivatives(p)):
+        dp = Partition(q.coefficients[1:])  # derived_partition(p, d)
         rows.append(
             {"order": d, "partition": str(dp), "length": str(dp.length), "size": str(dp.size)}
         )
@@ -225,7 +243,7 @@ def _cmd_conjecture(args):
     def progress(n, n_max):
         print(f"n={n}/{n_max}", file=sys.stderr)
 
-    reports = check_conjecture(args.max_n, jobs=args.jobs, progress=progress)
+    reports = check_conjecture(args.max_n, progress=progress)
     rows = [
         {"n": r.n, "monotone": r.monotone, "first_violation": r.first_violation}
         for r in reports
@@ -255,7 +273,7 @@ def _step_summary(step):
 def _cmd_density(args):
     trace = approximate(parse_rational(args.target), parse_rational(args.epsilon))
     if args.full_partition:
-        _refuse_over(trace.start_index, MAX_FULL_PARTITION,
+        _refuse_over(trace.start_index, MAX_LARGEST_PART,
                      "--full-partition would list {} multiplicities")
     rows, steps = [], []
     for s in trace.steps:
@@ -333,8 +351,7 @@ COMMANDS = {
     "avg": (_cmd_avg, "average integral over partitions of n with given length",
             ["--n", "--length"]),
     "avg-table": (_cmd_avg_table, "average integrals for every length 1..n", ["--n"]),
-    "conjecture": (_cmd_conjecture, "monotonicity scan of the average integrals",
-                   ["--max-n", ("--jobs", {"type": _int_in(1), "default": 1})]),
+    "conjecture": (_cmd_conjecture, "monotonicity scan of the average integrals", ["--max-n"]),
     "density": (_cmd_density, "construct a partition with prescribed integral", [
         ("--target", {"required": True, "help": "target integral, e.g. 1/3"}),
         ("--epsilon", {"required": True, "help": "error tolerance, e.g. 1/1000000"}),

@@ -195,11 +195,8 @@ def iter_partitions(n, length=None):
 
 
 class CountTable:
-    """Memoized table of p(n, ℓ) via p(n, ℓ) = p(n−1, ℓ−1) + p(n−ℓ, ℓ).
-
-    The table is filled iteratively up to a requested bound; precompute with
-    ``ensure`` before sharing across threads.
-    """
+    """Memoized table of p(n, ℓ) via p(n, ℓ) = p(n−1, ℓ−1) + p(n−ℓ, ℓ),
+    filled iteratively up to the largest n requested."""
 
     def __init__(self):
         self._rows = [[1]]  # _rows[n][l] = p(n, l) for 0 <= l <= n

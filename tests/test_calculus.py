@@ -1,3 +1,5 @@
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from partpoly import (
     poly_of,
     stats,
 )
+from partpoly.cli import run
 
 LAMBDA1 = Partition.from_parts([5, 2, 2, 1])
 LAMBDA2 = Partition.from_parts([4, 3, 2, 1])
@@ -141,6 +144,14 @@ def test_derived_partition_matches_factorial_formula():
                 derived_partition(p, -1)
             for d in range(p.largest_part + 3):
                 assert derived_partition(p, d) == _derived_partition_by_factorials(p, d)
+            # the CLI walks the derivative once for every order
+            out = io.StringIO()
+            run(["derived-seq", "--mults", ",".join(map(str, p.multiplicities)), "--format", "json"], out)
+            seq = json.loads(out.getvalue())["sequence"]
+            assert [row["order"] for row in seq] == list(range(p.largest_part + 1))
+            assert [Partition.from_json(row["partition"]) for row in seq] == [
+                _derived_partition_by_factorials(p, d) for d in range(p.largest_part + 1)
+            ]
 
 
 def test_derived_partition_polynomials_are_derivatives():

@@ -21,12 +21,17 @@ from partpoly import (
     count_partitions,
     format_rational,
     iter_partitions,
+    poly_of,
 )
 from partpoly.cli import (
+    MAX_ALL_ORDERS_PART,
     MAX_AVG_TABLE_N,
     MAX_COLLIDE_STEPS,
     MAX_CONJECTURE_N,
     MAX_COUNT_STEPS,
+    MAX_DECIMAL_DIGITS,
+    MAX_LARGEST_PART,
+    MAX_SUPERNORM_BITS,
     MAX_TABLE_CELLS,
     build_parser,
     run,
@@ -357,7 +362,6 @@ def test_oversized_count_exits_1(argv, capsys):
     (["avg-table", "--n", "10000000000"], MAX_AVG_TABLE_N),
     (["conjecture", "--max-n", str(MAX_CONJECTURE_N + 1)], MAX_CONJECTURE_N),
     (["conjecture", "--max-n", "10000000000"], MAX_CONJECTURE_N),
-    (["conjecture", "--max-n", str(MAX_CONJECTURE_N + 1), "--jobs", "2"], MAX_CONJECTURE_N),
 ])
 def test_oversized_averages_exit_1(argv, limit, capsys, monkeypatch):
     # avg --n 3160 would fill 4,997,541 cells, the largest triangle allowed;
@@ -374,6 +378,61 @@ def test_oversized_averages_exit_1(argv, limit, capsys, monkeypatch):
     assert status == 1 and text == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(limit) in err
+
+
+def test_print_limits_match_python_int_str_limit():
+    # the constants are the last sizes whose k!·m_k and supernorm can print
+    bound = 10 ** MAX_DECIMAL_DIGITS
+    assert math.factorial(MAX_ALL_ORDERS_PART) < bound <= math.factorial(MAX_ALL_ORDERS_PART + 1)
+    assert 2 ** MAX_SUPERNORM_BITS < bound < 2 ** (MAX_SUPERNORM_BITS + 1)
+    assert len(str(math.factorial(MAX_ALL_ORDERS_PART))) <= MAX_DECIMAL_DIGITS
+    assert len(str(2 ** MAX_SUPERNORM_BITS)) <= MAX_DECIMAL_DIGITS
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["integral", "--parts", "1000000"], None),
+    (["integral", "--parts", "2,1000001"], MAX_LARGEST_PART),
+    (["poly", "--parts", "20000000", "--format", "json"], MAX_LARGEST_PART),
+    (["derivatives", "--parts", "1558,1"], None),
+    (["derivatives", "--parts", "1559"], MAX_ALL_ORDERS_PART),
+    (["derivatives", "--parts", "1559", "--order", "3"], None),
+    (["derived-seq", "--parts", "1558"], None),
+    (["derived-seq", "--mults", ",".join(["0"] * 1558 + ["1"])], MAX_ALL_ORDERS_PART),
+    (["stats", "--mults", str(MAX_SUPERNORM_BITS)], None),
+    (["stats", "--mults", str(MAX_SUPERNORM_BITS + 1)], MAX_SUPERNORM_BITS),
+    (["stats", "--mults", "0,0,0,0,0,0,0,0,0,30000000"], MAX_SUPERNORM_BITS),
+])
+def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
+    # the work after each check is stubbed so that the check alone is timed
+    monkeypatch.setattr("partpoly.cli.integral", lambda p: Fraction(1, 2))
+    monkeypatch.setattr("partpoly.cli.derivative_values", lambda p, x: [0])
+    monkeypatch.setattr("partpoly.cli._derivatives", lambda p: iter([poly_of(Partition())]))
+    start = time.perf_counter()
+    status, text = _run(argv)
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    if limit is None:
+        assert status == 0 and err == ""
+        return
+    assert status == 1 and text == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(limit) in err
+
+
+def test_order_past_degree_is_zero_at_once():
+    start = time.perf_counter()
+    status, text = _run(["derivatives", "--parts", "5000", "--order", "6000", "--at", "0", "--format", "json"])
+    assert time.perf_counter() - start < 0.5
+    assert status == 0 and json.loads(text)["values"][0]["value"] == "0"
+
+
+def test_derived_seq_walks_the_derivative_once():
+    start = time.perf_counter()
+    status, text = _run(["derived-seq", "--parts", "400", "--format", "json"])
+    assert time.perf_counter() - start < 1
+    seq = json.loads(text)["sequence"]
+    assert status == 0 and len(seq) == 401
+    assert seq[399]["partition"]["multiplicities"] == [str(math.factorial(400))]
 
 
 @pytest.mark.parametrize("argv, allowed", [
@@ -478,14 +537,6 @@ def test_bad_decimal_digits_is_usage_error(argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
-def test_bad_jobs_is_usage_error(jobs, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["conjecture", "--max-n", "3", "--jobs", jobs], out=io.StringIO())
-    assert exc.value.code == 2
-    assert "argument --jobs" in capsys.readouterr().err
-
-
 def test_decimal_digits_zero():
     _, text = _run(["integral", "--parts", "2,1", "--decimal-digits", "0", "--format", "json"])
     assert json.loads(text)["decimal"] == "0"
@@ -555,7 +606,12 @@ def test_oversize_full_partition_exits_1(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_collide_takes_no_jobs():
-    with pytest.raises(SystemExit) as exc:
-        run(["collide", "--n", "12", "--length", "3", "--order", "2", "--jobs", "1"], out=io.StringIO())
-    assert exc.value.code == 2
+def test_collide_takes_no_jobs(capsys):
+    for argv in [
+        ["collide", "--n", "12", "--length", "3", "--order", "2", "--jobs", "1"],
+        ["conjecture", "--max-n", "3", "--jobs", "2"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            run(argv, out=io.StringIO())
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
