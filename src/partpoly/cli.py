@@ -34,13 +34,18 @@ MAX_LARGEST_PART = 10 ** 6
 # k! >= 10^4300, which Python cannot print (see MAX_DECIMAL_DIGITS).
 MAX_ALL_ORDERS_PART = 1558
 
+# `derivatives --order d <= k` takes d·k steps for a largest part k: 0.9 s at
+# k = 20,000 and 1.3 s at k = 10^5 for 10^7 steps; k = 20,000, d = 10,000 took
+# 13 s.  Evaluating the result adds k Fraction steps, 4.5 s at k = 10^6.
+MAX_DERIVATIVE_STEPS = 10 ** 7
+
 # 2^14285 > 10^4300 > 2^14284: a supernorm with a lower bound on its bit
 # length past this has more digits than Python prints.
 MAX_SUPERNORM_BITS = 14284
 
 # `count` refuses a call whose step estimate passes this: n^1.5 for p(n),
-# (n − ℓ)·ℓ for p(n, ℓ), and (n − ℓ)^1.5 once ℓ >= n − ℓ.  p(46,000) is
-# about 10^7 steps and takes 2 s; p(10^5) takes 12 s.
+# (n − ℓ)·ℓ for p(n, ℓ), and (n − ℓ)^1.5 once ℓ >= n − ℓ.  10^7 steps take
+# 0.9 s for p(46,000) and 1.3 s for p(10^5, 100); p(10^5) takes 4.8 s.
 MAX_COUNT_STEPS = 10 ** 7
 
 # `avg`, `avg-table` and `conjecture` fill the CountTable triangle, (n+1)(n+2)/2
@@ -165,7 +170,10 @@ def _cmd_derivatives(args):
         _refuse_over(p.largest_part, MAX_ALL_ORDERS_PART, "all orders of a largest part {}")
         values = enumerate(derivative_values(p, x))
     else:
-        values = [(args.order, diff(poly_of(p), args.order).evaluate(x))]
+        d, k = args.order, p.largest_part
+        if d <= k:  # a higher order is 0 at once
+            _refuse_over(d * k, MAX_DERIVATIVE_STEPS, "--order would take about {} steps")
+        values = [(d, diff(poly_of(p), d).evaluate(x))]
     rows = [
         {
             "order": d,
@@ -384,15 +392,20 @@ def _global_flags(parser, suppress):
     )
 
 
-def build_parser():
+def build_parser(command=None):
+    """The CLI parser; given a subcommand name, it parses only that one."""
     parser = argparse.ArgumentParser(
         prog="partpoly",
         description="Exact partition-polynomial calculator: derivatives, "
         "integrals, averages, density constructions, collision search.",
     )
     _global_flags(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Set for one command only: the full parser's errors name it "command".
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (_, help_text, specs) in COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         for spec in specs:
             if spec is PARTITION:
@@ -408,8 +421,10 @@ def build_parser():
 
 
 def run(argv=None, out=None):
-    """Parse argv and dispatch; returns the process exit status."""
-    args = build_parser().parse_args(argv)
+    """Parse argv (default sys.argv[1:]) and dispatch; returns the process
+    exit status.  A leading subcommand builds only its own parser."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     out = out or sys.stdout
     try:
         rows, doc, trailer = COMMANDS[args.command][0](args)

@@ -7,6 +7,8 @@ or "num" for integers) and the memoized integer tables the calculus and
 averages code needs.
 """
 
+import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -51,19 +53,14 @@ def harmonic(n):
 
 
 def _extend_primes(count):
-    # Sieve with a growing bound until at least `count` primes are known.
-    bound = max(2 * _primes[-1], 32)
-    while True:
-        sieve = bytearray([1]) * (bound + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, int(bound ** 0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        found = [i for i in range(2, bound + 1) if sieve[i]]
-        if len(found) >= count:
-            _primes[:] = found
-            return
-        bound *= 2
+    # One sieve: p_n < n(ln n + ln ln n) for n >= 6 (Rosser), and count > 6.
+    bound = int(count * (math.log(count) + math.log(math.log(count)))) + 1
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    _primes[:] = itertools.compress(range(bound + 1), sieve)
 
 
 def nth_prime(i):

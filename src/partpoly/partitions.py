@@ -7,6 +7,7 @@ density construction doubles them every step and derived partitions scale
 them by factorial ratios.
 """
 
+import itertools
 from collections import namedtuple
 
 from .errors import DomainError
@@ -244,13 +245,15 @@ def count_partitions(n, length=None):
                 for m in range(part, n + 1):
                     ways[m] += ways[m - part]
             return ways[n]
-    p = [1] + [0] * n
+    # While len(p) = m, p[−g] is p(m − g): each generalized pentagonal g <= m is
+    # kept as −g in the list of its term's sign, so a step is two C-level sums.
+    p, added, subtracted = [1], [], []
+    at = p.__getitem__
+    pentagonal = ((k * (3 * k + s) // 2, k % 2) for k in itertools.count(1) for s in (-1, 1))
+    g, odd = next(pentagonal)
     for m in range(1, n + 1):
-        total, k, g = 0, 1, 1  # g = k(3k−1)/2
-        while g <= m:
-            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
-            total = total + term if k % 2 else total - term
-            k += 1
-            g += 3 * k - 2
-        p[m] = total
+        if g == m:
+            (added if odd else subtracted).append(-g)
+            g, odd = next(pentagonal)
+        p.append(sum(map(at, added)) - sum(map(at, subtracted)))
     return p[n]

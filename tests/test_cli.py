@@ -30,6 +30,7 @@ from partpoly.cli import (
     MAX_CONJECTURE_N,
     MAX_COUNT_STEPS,
     MAX_DECIMAL_DIGITS,
+    MAX_DERIVATIVE_STEPS,
     MAX_LARGEST_PART,
     MAX_SUPERNORM_BITS,
     MAX_TABLE_CELLS,
@@ -44,11 +45,12 @@ def _run(argv):
     return status, out.getvalue()
 
 
-def _python(*args):
+def _python(*args, text=True):
     """Run a fresh interpreter on this checkout's package."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")  # argparse wraps help to it
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], capture_output=True, text=text, env=env, timeout=60
     )
 
 
@@ -401,11 +403,15 @@ def test_print_limits_match_python_int_str_limit():
     (["stats", "--mults", str(MAX_SUPERNORM_BITS)], None),
     (["stats", "--mults", str(MAX_SUPERNORM_BITS + 1)], MAX_SUPERNORM_BITS),
     (["stats", "--mults", "0,0,0,0,0,0,0,0,0,30000000"], MAX_SUPERNORM_BITS),
+    (["derivatives", "--parts", "20000", "--order", "500"], None),  # d·k = 10^7
+    (["derivatives", "--parts", "20000", "--order", "501"], MAX_DERIVATIVE_STEPS),
+    (["derivatives", "--parts", "1000000", "--order", "500000", "--at", "0"], MAX_DERIVATIVE_STEPS),
 ])
 def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     # the work after each check is stubbed so that the check alone is timed
     monkeypatch.setattr("partpoly.cli.integral", lambda p: Fraction(1, 2))
     monkeypatch.setattr("partpoly.cli.derivative_values", lambda p, x: [0])
+    monkeypatch.setattr("partpoly.cli.diff", lambda poly, d: poly_of(Partition()))
     monkeypatch.setattr("partpoly.cli._derivatives", lambda p: iter([poly_of(Partition())]))
     start = time.perf_counter()
     status, text = _run(argv)
@@ -424,6 +430,13 @@ def test_order_past_degree_is_zero_at_once():
     status, text = _run(["derivatives", "--parts", "5000", "--order", "6000", "--at", "0", "--format", "json"])
     assert time.perf_counter() - start < 0.5
     assert status == 0 and json.loads(text)["values"][0]["value"] == "0"
+
+
+def test_largest_single_order_runs():
+    # f^(500)(0) = 500!·m_500
+    assert 500 * 20000 == MAX_DERIVATIVE_STEPS
+    status, text = _run(["derivatives", "--parts", "500,20000", "--order", "500", "--at", "0", "--format", "json"])
+    assert status == 0 and json.loads(text)["values"][0]["value"] == str(math.factorial(500))
 
 
 def test_derived_seq_walks_the_derivative_once():
@@ -546,6 +559,57 @@ def test_python_dash_m():
     proc = _python("-m", "partpoly", "count", "--n", "10", "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == "42"
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# `python -m partpoly ARGS` -> (exit status, SHA-256 of stdout, of stderr),
+# pinned on Python 3.11.7 from the CLI as it was when every call built all 11
+# subparsers: help, usage errors, typos and global flags before the command.
+PINNED_ARGV = {
+    "": (2, EMPTY, "f67d1c6435f11bc5849149c4db0cb2197aa8738bfd0361adc8d527ca92370be5"),
+    "-h": (0, "e644560e4bd08c260c2f930020f098774dd413212d6c867a9569e71f71f24d5a", EMPTY),
+    "-h count": (0, "e644560e4bd08c260c2f930020f098774dd413212d6c867a9569e71f71f24d5a", EMPTY),
+    "count -h": (0, "3e9efb4b30f48b7458d12b587233e23502d27c7a0a2e10fac9b0217c485eed6c", EMPTY),
+    "bogus": (2, EMPTY, "5e4556a8e7d5dc480f6e94463e61226acf90124c4d7f1bc1c89fcbd4091adb09"),
+    "count": (2, EMPTY, "066f7abff4988ea9a2bdc7320252a89f2c407ec72af7090a34f70cf452e40d67"),
+    "count --n 5 extra": (2, EMPTY, "949e3b0948202135bf3ab55c1d0903785c87b4fc3d9437aab1fc2c67f447e5f5"),
+    "--format xml count --n 1": (2, EMPTY, "4875f9577797280d8e3398c262ab9d5ff38750b7e734801d90d94db60064f8ed"),
+    "stats --parts 1 count": (2, EMPTY, "2196b4c7b038b00063140ac53036dbbbd2b50ae5ae6889298fed9d76edc055ad"),
+    "count --n 3000": (0, "83e8e2219a2ff1164db896faa3792cc008eaa7a7f8433f6bcd9922ad448b891f", EMPTY),
+    "--format json count --n 10": (0, "904905c36f06e56e8b5108d0ebd4061cdb5566b2774ab19e84c498fd02eab8e3", EMPTY),
+    "count --n 10 --format csv": (0, "0e60370c01ce936718c623046639bae401a6d94a358cfee3cb86928a01d4a02a", EMPTY),
+    "count --n 100000": (1, EMPTY, "1710fbb59cd94d037acb1c759f1b61eca63e46f19ed586b709645a95e8a2a36a"),
+    "count --n x": (2, EMPTY, "23aa0d96d0e3deb268e316ba082cbecb5f6436c67b9757e0b5afac6480258633"),
+    "stats --parts 5,2,2,1": (0, "e8ed21fe04a2505a510fd1234facb7e9d64724453ef5ac978388dc5e57df1120", EMPTY),
+    "derivatives --parts 5,2,2,1 --at 1/2 --order 2": (0, "3911e1d6846a228933d9d6a7b3350eddd089b0ba90576b5875564337ce7f7853", EMPTY),
+    "integral --parts 0,2": (1, EMPTY, "ca3597f20da6bea63674cdba3b9f3c6af83ddde544f6103bc087b4b723f78991"),
+    "--decimal-digits 3 integral --parts 2,1": (0, "4f98c6ee06ba9d0c72d09f433107392f7e7828b955a0a5eac751e8b6784d1eda", EMPTY),
+    "collide --n 12 --length 3 --order 2 --format json": (0, "5d5794924ad760118a29c33b6540dea4cc110d32033a2e9473a5ca5355cad7ff", EMPTY),
+    "conjecture --max-n 3": (0, "0e9862b4b2dec778600cc86eb4223b5862948dc23aa89a605a05766926b5cb3f", "2e6fa780b7ed6035de785ebdcd1a934ada10609bb36ac6f4dbacf4376793bc0b"),
+    "poly -h": (0, "fe0841ba5d1da44e902e515e984e72d08623ef34e6b7c10964b3652883d23992", EMPTY),
+    "coun --n 5": (2, EMPTY, "95fbfd6a3cc64a0095e26e4a4cbf03f1fe367595d5199dbaf8b22702c8662c4e"),
+    "--format json": (2, EMPTY, "f67d1c6435f11bc5849149c4db0cb2197aa8738bfd0361adc8d527ca92370be5"),
+}
+
+
+def _cli_digests(args, full_parser=False):
+    """Exit status and stdout and stderr digests of the CLI on `args`, run
+    through main() and its argv=None route; with full_parser every call
+    builds all the subparsers."""
+    full = "import partpoly.cli as c; b = c.build_parser; c.build_parser = lambda _=None: b(); c.main()"
+    proc = _python(*(["-c", full] if full_parser else ["-m", "partpoly"]), *args.split(), text=False)
+    digest = lambda data: hashlib.sha256(data).hexdigest()
+    return proc.returncode, digest(proc.stdout), digest(proc.stderr)
+
+
+@pytest.mark.parametrize("args", list(PINNED_ARGV))
+def test_one_subcommand_parser_changes_no_output(args):
+    got = _cli_digests(args)
+    if sys.version_info[:2] == (3, 11):
+        assert got == PINNED_ARGV[args]
+    else:  # argparse words help and errors per version: compare the full parser
+        assert got == _cli_digests(args, full_parser=True)
 
 
 def test_domain_error_exits_1(capsys):

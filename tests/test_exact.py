@@ -1,10 +1,11 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+import partpoly.exact as exact
 from partpoly import (
     DomainError,
     format_rational,
@@ -90,8 +91,18 @@ def test_nth_prime():
     assert nth_prime(5) == 11
     assert nth_prime(10) == 29
     assert nth_prime(100) == 541
+    assert [nth_prime(10 ** e) for e in (4, 5, 6)] == [104729, 1299709, 15485863]
     with pytest.raises(DomainError):
         nth_prime(0)
+
+
+def test_nth_prime_matches_trial_division(monkeypatch):
+    primes = [q for q in range(2, 17390) if all(q % r for r in range(2, isqrt(q) + 1))]
+    assert len(primes) == 2000
+    for i in range(1, 2001):
+        # a fresh cache, so that each i sizes its own sieve
+        monkeypatch.setattr(exact, "_primes", [2, 3, 5, 7, 11, 13])
+        assert nth_prime(i) == primes[i - 1], i
 
 
 def test_rational_strings():

@@ -168,15 +168,16 @@ def test_count_edge_cases():
 def test_count_matches_count_table():
     # the pentagonal recurrence and the coin DP against the full triangle
     table = CountTable()
+    for n in range(301):
+        assert count_partitions(n) == table.count(n), n
     for n in range(81):
-        assert count_partitions(n) == table.count(n)
         for l in range(-1, n + 2):
             assert count_partitions(n, l) == table.count(n, l), (n, l)
 
 
 def test_count_matches_sympy():
     numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
-    for n in list(range(300)) + [3000]:
+    for n in list(range(300)) + [3000, 10000, 46000]:
         assert count_partitions(n) == int(numbers.partition(n)), n
 
 
