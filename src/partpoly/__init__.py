@@ -2,12 +2,12 @@
 averages over fixed size and length, and density constructions."""
 
 from .calculus import (
-    IntPolynomial,
     deriv_recursive_eval,
     derivative_profile,
     derivative_values,
     derived_partition,
     diff,
+    evaluate,
     poly_of,
 )
 from .averages import (
@@ -53,7 +53,6 @@ __all__ = [
     "DensityStep",
     "DensityTrace",
     "DomainError",
-    "IntPolynomial",
     "MultiplicityProfile",
     "Partition",
     "PartitionStats",
@@ -73,6 +72,7 @@ __all__ = [
     "derived_partition",
     "diff",
     "distinguishing_order",
+    "evaluate",
     "format_rational",
     "harmonic",
     "integral",

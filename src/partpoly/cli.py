@@ -11,8 +11,8 @@ import math
 import sys
 
 from .averages import avg, avg_table, check_conjecture
-from .calculus import _derivatives, derivative_values, diff, poly_of
-from .density import approximate
+from .calculus import _derivatives, derivative_values, diff, evaluate, poly_of
+from .density import approximate, last_error_bound
 from .errors import DomainError
 from .exact import format_rational, nth_prime, parse_rational, rational_to_decimal
 from .integrals import integral
@@ -38,6 +38,14 @@ MAX_ALL_ORDERS_PART = 1558
 # k = 20,000 and 1.3 s at k = 10^5 for 10^7 steps; k = 20,000, d = 10,000 took
 # 13 s.  Evaluating the result adds k Fraction steps, 4.5 s at k = 10^6.
 MAX_DERIVATIVE_STEPS = 10 ** 7
+
+# `derivatives --at p/q` evaluates a degree-K polynomial (K = k for all orders,
+# k − d for `--order d`) by Horner's rule on values of about K·log2 max(|p|, q)
+# bits; past this bound on K·⌊log2 max(|p|, q)⌋ they cannot print (see
+# MAX_SUPERNORM_BITS) unless terms cancel or share factors with q.  At the limit
+# `--parts 1,14284 --order 0 --at 1/2` prints in 0.1 s; `--parts 300 --at
+# 1/10^3000` used to run over 60 s before the print limit stopped it.
+MAX_VALUE_BITS = 14284
 
 # 2^14285 > 10^4300 > 2^14284: a supernorm with a lower bound on its bit
 # length past this has more digits than Python prints.
@@ -155,25 +163,26 @@ def _cmd_stats(args):
 
 
 def _cmd_poly(args):
-    poly = poly_of(_partition(args))
-    rows = [
-        {"degree": i, "coefficient": c}
-        for i, c in enumerate(poly.coefficients)
-    ]
-    return rows, poly.to_json(), None
+    coeffs = poly_of(_partition(args))
+    rows = [{"degree": i, "coefficient": c} for i, c in enumerate(coeffs)]
+    return rows, {"coefficients": [str(c) for c in coeffs]}, None
 
 
 def _cmd_derivatives(args):
     p = _partition(args)
     x = parse_rational(args.at)
-    if args.order is None:
-        _refuse_over(p.largest_part, MAX_ALL_ORDERS_PART, "all orders of a largest part {}")
+    k, d = p.largest_part, args.order
+    if d is None:
+        _refuse_over(k, MAX_ALL_ORDERS_PART, "all orders of a largest part {}")
+    elif d <= k:  # a higher order is 0 at once
+        _refuse_over(d * k, MAX_DERIVATIVE_STEPS, "--order would take about {} steps")
+    degree = max(k - (d or 0), 0)  # of f^(d), or of f itself for all orders
+    bits = degree * (max(abs(x.numerator), x.denominator).bit_length() - 1)
+    _refuse_over(bits, MAX_VALUE_BITS, "the value at --at would have about {} bits")
+    if d is None:
         values = enumerate(derivative_values(p, x))
     else:
-        d, k = args.order, p.largest_part
-        if d <= k:  # a higher order is 0 at once
-            _refuse_over(d * k, MAX_DERIVATIVE_STEPS, "--order would take about {} steps")
-        values = [(d, diff(poly_of(p), d).evaluate(x))]
+        values = [(d, evaluate(diff(poly_of(p), d), x))]
     rows = [
         {
             "order": d,
@@ -191,7 +200,7 @@ def _cmd_derived_seq(args):
     _refuse_over(p.largest_part, MAX_ALL_ORDERS_PART, "all orders of a largest part {}")
     rows, seq = [], []
     for d, q in enumerate(_derivatives(p)):
-        dp = Partition(q.coefficients[1:])  # derived_partition(p, d)
+        dp = Partition(q[1:])  # derived_partition(p, d)
         rows.append(
             {"order": d, "partition": str(dp), "length": str(dp.length), "size": str(dp.size)}
         )
@@ -279,7 +288,16 @@ def _step_summary(step):
 
 
 def _cmd_density(args):
-    trace = approximate(parse_rational(args.target), parse_rational(args.epsilon))
+    c, epsilon = parse_rational(args.target), parse_rational(args.epsilon)
+    # Every format prints the last step's error bound: refuse one that cannot
+    # print before the trace, which holds about r bits per step r.  At 1/3,
+    # `--epsilon 1/10^5000` ran 6.8 s into the print limit and 1/10^30000 49 s
+    # into a MemoryError (3 GB cap); the largest allowed prints 185 MB in 6.6 s.
+    if last_error_bound(c, epsilon).denominator >= 10 ** MAX_DECIMAL_DIGITS:
+        raise DomainError(
+            f"the last error bound's denominator would pass {MAX_DECIMAL_DIGITS} digits"
+        )
+    trace = approximate(c, epsilon)
     if args.full_partition:
         _refuse_over(trace.start_index, MAX_LARGEST_PART,
                      "--full-partition would list {} multiplicities")
@@ -435,8 +453,8 @@ def run(argv=None, out=None):
         # DomainError is a ValueError.  The catch is wider than DomainError
         # on purpose: exact output too large to print (a rational or count
         # past 4300 digits) fails fast only through Python's int -> str limit,
-        # which raises a plain ValueError.  With that limit lifted, `density
-        # --target 1/3 --epsilon 1/10^5000` ran 16 s and wrote 128 MB of JSON.
+        # which raises a plain ValueError: `derivatives --parts 1,14284 --order 0
+        # --at 1/3` passes MAX_VALUE_BITS but its denominator 3^14284 cannot print.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -93,40 +93,46 @@ def _bracket_index(c):
     return s
 
 
-def approximate(c, epsilon):
-    """Construct a partition whose normalized integral is within `epsilon`
-    of the target c ∈ (0, 1/2), with a certified error bound per step."""
+def _plan(c, epsilon):
+    # Validate; return c, ε, s and the step r where the search stops.  The
+    # search bisects y = (c − a)/(b − a) in (0, 1): it stops at the least r
+    # with (b − a)/2^r < ε, or earlier, at r = j, when y has the denominator
+    # 2^j, because step j's midpoint then lands on c.
     c = Fraction(c)
     epsilon = Fraction(epsilon)
     if not 0 < c < Fraction(1, 2):
         raise DomainError("target must lie strictly between 0 and 1/2")
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-
     s = _bracket_index(c)
     a, b = alpha_integral(s), beta_integral(s)
-    width = b - a
+    last = max(1, ((b - a) // epsilon).bit_length())
+    j = ((c - a) / (b - a)).denominator
+    if j & (j - 1) == 0:
+        last = min(last, j.bit_length() - 1)
+    return c, epsilon, s, last
 
-    # Edge weights (u, v) of the bracket's ends; both sum to 2^(r-1).
-    low, high = (1, 0), (0, 1)
+
+def last_error_bound(c, epsilon):
+    """The certified bound (b − a)/2^r of the step r where `approximate`
+    stops for target c and tolerance epsilon, found without building a step."""
+    _, _, s, last = _plan(c, epsilon)
+    return (beta_integral(s) - alpha_integral(s)) / 2 ** last
+
+
+def approximate(c, epsilon):
+    """Construct a partition whose normalized integral is within `epsilon`
+    of the target c ∈ (0, 1/2), with a certified error bound per step."""
+    c, epsilon, s, last = _plan(c, epsilon)
+    a, b = alpha_integral(s), beta_integral(s)
+    y = (c - a) / (b - a)
     steps = []
-    r = 0
-    while True:
-        r += 1
-        u, v = low[0] + high[0], low[1] + high[1]
-        value = (u * a + v * b) / 2 ** r
-        bound = width / 2 ** r
-        steps.append(DensityStep(r, (u, v), s, value, bound))
-        if value == c:
-            achieved = Fraction(0)
-            break
-        if bound < epsilon:
-            achieved = abs(value - c)
-            break
-        if c < value:
-            low, high = (2 * low[0], 2 * low[1]), (u, v)
-        else:
-            low, high = (u, v), (2 * high[0], 2 * high[1])
+    for r in range(1, last + 1):
+        # Step r's integral a + (b − a)·v/2^r is the midpoint of the bracket
+        # halved r − 1 times around c: v is floor(y·2^r) made odd.
+        v = (y.numerator << r) // y.denominator | 1
+        u = 2 ** r - v
+        steps.append(DensityStep(r, (u, v), s, (u * a + v * b) / 2 ** r, (b - a) / 2 ** r))
 
     return DensityTrace(
         target=c,
@@ -134,5 +140,5 @@ def approximate(c, epsilon):
         start_index=s,
         interval=(a, b),
         steps=tuple(steps),
-        achieved_error=achieved,
+        achieved_error=abs(steps[-1].integral - c),
     )

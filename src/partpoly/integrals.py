@@ -8,6 +8,7 @@ maximum hit exactly by all-ones partitions.
 
 from fractions import Fraction
 
+from .calculus import evaluate, poly_of
 from .errors import DomainError
 
 
@@ -18,12 +19,7 @@ def normalized_eval(partition, x):
     x = Fraction(x)
     if x < 0 or x > 1:
         raise DomainError("normalized polynomial is defined on [0, 1] only")
-    total = sum(
-        m * x ** i
-        for i, m in enumerate(partition.multiplicities, start=1)
-        if m
-    )
-    return Fraction(total, partition.length)
+    return evaluate(poly_of(partition), x) / partition.length
 
 
 def integral(partition):

@@ -156,28 +156,19 @@ def stats(partition):
     return PartitionStats(partition.length, partition.size, partition.largest_part)
 
 
-def _gen_parts(n, max_part):
-    # Descending-lexicographic part lists, any length.
-    if n == 0:
-        yield []
-        return
-    for first in range(min(max_part, n), 0, -1):
-        for rest in _gen_parts(n - first, first):
-            yield [first] + rest
-
-
-def _gen_parts_len(n, max_part, length):
-    # Descending-lexicographic part lists with exactly `length` parts.
-    if length == 0:
-        if n == 0:
-            yield []
-        return
-    if n < length:
-        return
-    lo = -(-n // length)  # smallest feasible first part: ceil(n / length)
-    for first in range(min(max_part, n - length + 1), lo - 1, -1):
-        for rest in _gen_parts_len(n - first, first, length - 1):
-            yield [first] + rest
+def _descend(mults, n, max_part, length):
+    # Add parts of at most max_part summing to n to the multiplicity list
+    # `mults` in place, largest first, exactly `length` of them unless it is
+    # None; yield each completed partition, then undo the additions.
+    if n == 0 and not length:
+        yield Partition(mults)
+    elif length is None or 0 < length <= n:
+        # the first part is the largest, so at least ceil(n / length)
+        low = -(-n // length) if length else 1
+        for part in range(min(max_part, n - (length or 1) + 1), low - 1, -1):
+            mults[part - 1] += 1
+            yield from _descend(mults, n - part, part, length and length - 1)
+            mults[part - 1] -= 1
 
 
 def iter_partitions(n, length=None):
@@ -185,14 +176,9 @@ def iter_partitions(n, length=None):
     each exactly once, in descending-lexicographic order of part lists."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if length is None:
-        gen = _gen_parts(n, n if n else 0)
-    else:
-        if length < 1:
-            raise DomainError("length must be positive")
-        gen = _gen_parts_len(n, n, length)
-    for parts in gen:
-        yield Partition.from_parts(parts)
+    if length is not None and length < 1:
+        raise DomainError("length must be positive")
+    return _descend([0] * n, n, n, length)
 
 
 class CountTable:

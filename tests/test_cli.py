@@ -17,11 +17,11 @@ import partpoly.search
 from partpoly import (
     CollisionReport,
     Partition,
+    approximate,
     collision_search,
     count_partitions,
     format_rational,
     iter_partitions,
-    poly_of,
 )
 from partpoly.cli import (
     MAX_ALL_ORDERS_PART,
@@ -34,9 +34,11 @@ from partpoly.cli import (
     MAX_LARGEST_PART,
     MAX_SUPERNORM_BITS,
     MAX_TABLE_CELLS,
+    MAX_VALUE_BITS,
     build_parser,
     run,
 )
+from partpoly.density import last_error_bound
 
 
 def _run(argv):
@@ -140,6 +142,24 @@ GOLDEN_STDOUT = {
         "affb01febced95034619cc273e3bfeb0fbf1a8ac3e85b0b1ce9995b1ec79871f",
         "559d374684f9e60e6154ea0ee0934846f29e6c6db51657e09bcbd2becfbd0f50",
         "c22fbfb22f0352f3d998b6739926bc8ac9f886a504500170ceb3f2474e4cd75b",
+    ),
+    # The empty partition, whose polynomial is the zero tuple (), not (0,):
+    # `poly` prints no row and an empty coefficient list.  Pinned later, from
+    # the CLI as it was when polynomials were objects with a trimmed tuple.
+    "poly --mults 0": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "43d6029ac617d4f8ee193b481177e1049b567941ee3b9b915340bc55aa3647e6",
+    ),
+    "derivatives --mults 0": (
+        "0bb0400a3b28ce9508a0aef9fc5814f4c0e9e5f937cd2017d756fa3bf2693431",
+        "5dae5ca03caa33f1501f6b3a9980d7dc2e709f8ca8d803a0c62f5cbe392e0d44",
+        "ad218caf0c174159e14cdd5a748e065a9fab8c6aea66f95a4c9c8c5406e5d56e",
+    ),
+    "derived-seq --mults 0": (
+        "256f5368eaa62921f17c86938d8207da6946f613f15680cd1e4f45d8b1f9a7ba",
+        "7992adba6ecdecd686ddf4be7740c1965e56538739cadcf65d8a6f9b6027cffe",
+        "c570582cdbe97e5973dfcfa22904fc63642d707d6acca68abe08ec36c372e357",
     ),
 }
 
@@ -406,13 +426,22 @@ def test_print_limits_match_python_int_str_limit():
     (["derivatives", "--parts", "20000", "--order", "500"], None),  # d·k = 10^7
     (["derivatives", "--parts", "20000", "--order", "501"], MAX_DERIVATIVE_STEPS),
     (["derivatives", "--parts", "1000000", "--order", "500000", "--at", "0"], MAX_DERIVATIVE_STEPS),
+    # K·⌊log2 max(|p|, q)⌋ for the degree K evaluated at p/q
+    (["derivatives", "--parts", "1,14284", "--order", "0", "--at", "1/2"], None),
+    (["derivatives", "--parts", "1,14285", "--order", "0", "--at", "1/2"], MAX_VALUE_BITS),
+    (["derivatives", "--parts", "14385", "--order", "100", "--at=-3/2"], MAX_VALUE_BITS),
+    (["derivatives", "--parts", "1558", "--at", "1/2^9"], None),  # 1558·9 = 14,022
+    (["derivatives", "--parts", "1,64000", "--order", "0", "--at", "1/3"], MAX_VALUE_BITS),
+    (["derivatives", "--parts", "100", "--at", "1/10^1000"], MAX_VALUE_BITS),
+    (["derivatives", "--parts", "300", "--at", "1/10^3000"], MAX_VALUE_BITS),
+    (["derivatives", "--parts", "300", "--order", "301", "--at", "1/10^3000"], None),
 ])
 def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     # the work after each check is stubbed so that the check alone is timed
     monkeypatch.setattr("partpoly.cli.integral", lambda p: Fraction(1, 2))
     monkeypatch.setattr("partpoly.cli.derivative_values", lambda p, x: [0])
-    monkeypatch.setattr("partpoly.cli.diff", lambda poly, d: poly_of(Partition()))
-    monkeypatch.setattr("partpoly.cli._derivatives", lambda p: iter([poly_of(Partition())]))
+    monkeypatch.setattr("partpoly.cli.diff", lambda coeffs, d: ())
+    monkeypatch.setattr("partpoly.cli._derivatives", lambda p: iter([()]))
     start = time.perf_counter()
     status, text = _run(argv)
     assert time.perf_counter() - start < 1
@@ -437,6 +466,43 @@ def test_largest_single_order_runs():
     assert 500 * 20000 == MAX_DERIVATIVE_STEPS
     status, text = _run(["derivatives", "--parts", "500,20000", "--order", "500", "--at", "0", "--format", "json"])
     assert status == 0 and json.loads(text)["values"][0]["value"] == str(math.factorial(500))
+
+
+def test_largest_value_at_a_point_prints():
+    # f(x) = x + x^14284 at 1/2 has the denominator 2^14284 < 10^4300
+    assert MAX_VALUE_BITS == 14284
+    status, text = _run(["derivatives", "--parts", "1,14284", "--order", "0", "--at", "1/2", "--format", "json"])
+    value = Fraction(1, 2) + Fraction(1, 2 ** 14284)
+    assert status == 0 and json.loads(text)["values"][0]["value"] == format_rational(value)
+
+
+@pytest.mark.parametrize("epsilon", ["1/10^5000", "1/10^30000"])
+def test_unprintable_density_exits_1_at_once(epsilon, capsys):
+    start = time.perf_counter()
+    status, text = _run(["density", "--target", "1/3", "--epsilon", epsilon])
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert status == 1 and text == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(MAX_DECIMAL_DIGITS) in err
+
+
+def test_largest_printable_density_runs(capsys, monkeypatch):
+    # the last step r at the target 1/3 whose bound (b − a)/2^r can print;
+    # ε = (b − a)/2^(r − 1) stops there, and half of it one step later
+    small = approximate(Fraction(1, 3), Fraction(1, 1000))
+    a, b = small.interval
+    printable = lambda r: ((b - a) / 2 ** r).denominator < 10 ** MAX_DECIMAL_DIGITS
+    r = next(r for r in range(14000, 15000) if not printable(r + 1))
+    assert printable(r)
+    # the trace is stubbed: the largest allowed run prints 185 MB of table
+    monkeypatch.setattr("partpoly.cli.approximate", lambda c, eps: small)
+    for stop, expected in ((r, 0), (r + 1, 1)):
+        epsilon = (b - a) / 2 ** (stop - 1)
+        assert last_error_bound(Fraction(1, 3), epsilon) == (b - a) / 2 ** stop
+        status, _ = _run(["density", "--target", "1/3", "--epsilon", format_rational(epsilon)])
+        assert status == expected
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_derived_seq_walks_the_derivative_once():

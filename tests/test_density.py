@@ -13,7 +13,7 @@ from partpoly import (
     integral,
     is_nontrivial,
 )
-from partpoly.density import _bracket_index, alpha_integral, beta_integral
+from partpoly.density import _bracket_index, alpha_integral, beta_integral, last_error_bound
 
 
 def test_alpha_examples():
@@ -100,6 +100,21 @@ def test_approximate_exact_hit():
     assert trace.achieved_error == 0
     assert integral(trace.result) == Fraction(3, 8)
     assert len(trace.steps) == 1
+
+
+def test_last_error_bound_is_the_last_steps_bound():
+    # the stop step is found before the loop: at the least r with
+    # (b − a)/2^r < ε, or earlier at an exact hit (3/8 at step 1, c5 at step 5)
+    a, b = alpha_integral(3), beta_integral(3)
+    c5 = a + (b - a) * Fraction(5, 32)
+    for c in (Fraction(1, 3), Fraction(49, 100), Fraction(3, 8), c5, Fraction(1, 10 ** 9)):
+        for eps in (Fraction(1), b - a, Fraction(1, 10 ** 6), Fraction(1, 2 ** 40)):
+            trace = approximate(c, eps)
+            assert last_error_bound(c, eps) == trace.steps[-1].error_bound
+    trace = approximate(c5, Fraction(1, 2 ** 40))
+    assert len(trace.steps) == 5 and trace.achieved_error == 0
+    with pytest.raises(DomainError):
+        last_error_bound(Fraction(1, 2), Fraction(1, 100))
 
 
 def test_approximate_domain_errors():

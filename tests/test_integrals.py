@@ -16,7 +16,7 @@ from partpoly import (
 
 def _integral_oracle(p):
     # term-wise antiderivative of the integer polynomial, evaluated on [0,1]
-    coeffs = poly_of(p).coefficients
+    coeffs = poly_of(p)
     total = sum(Fraction(c, i + 1) for i, c in enumerate(coeffs))
     return total / p.length
 
