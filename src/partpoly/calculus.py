@@ -83,12 +83,15 @@ def deriv_recursive_eval(partition, d, x):
     return values[d]
 
 
-def _derivatives(partition):
-    """Yield the tuples of f, f', ..., f^(k), differentiating once per order."""
+def _derivatives(partition, order=None):
+    """Yield the tuples of f, f', ..., f^(min(order, k)), differentiating once
+    per order and never past the last one yielded."""
+    k = partition.largest_part
     p = poly_of(partition)
-    for _ in range(partition.largest_part + 1):
+    for _ in range(k if order is None else min(order, k)):
         yield p
         p = diff(p)
+    yield p
 
 
 def derivative_values(partition, x):
@@ -96,10 +99,13 @@ def derivative_values(partition, x):
     return [evaluate(p, x) for p in _derivatives(partition)]
 
 
-def derivative_profile(partition):
-    """The vector [f^(0)(1), f^(1)(1), ..., f^(k)(1)] of derivative values
-    at x = 1; entry 0 is the length and entry 1 the size."""
-    return [int(v) for v in derivative_values(partition, 1)]
+def derivative_profile(partition, order=None):
+    """The vector [f^(0)(1), f^(1)(1), ..., f^(min(order, k))(1)] of derivative
+    values at x = 1, all k + 1 when order is None; entry 0 is the length and
+    entry 1 the size."""
+    if order is not None and order < 0:
+        raise DomainError("derivative order must be nonnegative")
+    return [int(evaluate(p, 1)) for p in _derivatives(partition, order)]
 
 
 def derived_partition(partition, d):

@@ -12,7 +12,7 @@ import sys
 
 from .averages import avg, avg_table, check_conjecture
 from .calculus import _derivatives, derivative_values, diff, evaluate, poly_of
-from .density import approximate, last_error_bound
+from .density import _bracket_index, alpha_integral, approximate, last_error_bound
 from .errors import DomainError
 from .exact import format_rational, nth_prime, parse_rational, rational_to_decimal
 from .integrals import integral
@@ -64,12 +64,14 @@ MAX_TABLE_CELLS = 5 * 10 ** 6
 MAX_AVG_TABLE_N = 1000
 MAX_CONJECTURE_N = 200
 
-# `collide` profiles each of the p(n, ℓ) partitions in about k² Fraction steps,
-# k <= n − ℓ + 1 its largest part, so it refuses past p(n, ℓ)·(n − ℓ + 1)² steps.
-# `collide --n 60 --length 5 --order 3` is 16.5·10^6 steps and takes 10.6 s.  The
-# estimate bounds the work from above, loosest for long parts: ℓ = 2 at n = 342
-# takes 24 s, and ℓ = 1 at n = 4,472 (profile values up to 4472!) 113 s.
-MAX_COLLIDE_STEPS = 2 * 10 ** 7
+# `collide --order d` profiles each of the p(n, ℓ) partitions in about
+# (min(d, k) + 1)·k Fraction steps, k <= n − ℓ + 1 its largest part, so it
+# refuses past p(n, ℓ)·(min(d, n − ℓ + 1) + 1)·(n − ℓ + 1) steps: `collide --n 60
+# --length 5 --order 3` is 1.18·10^6 steps and takes 2.5 s.  Every allowed call
+# ends in under 10 s; the slowest steps are the longest parts' and biggest values':
+# ℓ = 1 at n = 1,413 with d >= k (values up to 1413!) takes 7.0 s, ℓ = 1 at
+# n = 10^6 with d = 1 8.1 s, ℓ = 2 at n = 1,155 with d = 2 6.8 s.
+MAX_COLLIDE_STEPS = 2 * 10 ** 6
 
 # `count` up to this n reads the CountTable triangle that `avg` reads (5,151
 # cells at most), so the benchmark's smoke-size `count` still traces a table
@@ -289,14 +291,17 @@ def _step_summary(step):
 
 def _cmd_density(args):
     c, epsilon = parse_rational(args.target), parse_rational(args.epsilon)
-    # Every format prints the last step's error bound: refuse one that cannot
-    # print before the trace, which holds about r bits per step r.  At 1/3,
-    # `--epsilon 1/10^5000` ran 6.8 s into the print limit and 1/10^30000 49 s
-    # into a MemoryError (3 GB cap); the largest allowed prints 185 MB in 6.6 s.
-    if last_error_bound(c, epsilon).denominator >= 10 ** MAX_DECIMAL_DIGITS:
-        raise DomainError(
-            f"the last error bound's denominator would pass {MAX_DECIMAL_DIGITS} digits"
-        )
+    # Every rational printed past the inputs, up to the last error bound and
+    # achieved_error = |a + (b − a)·v/2^r − c|, has a denominator dividing
+    # lcm(den(a), den(c), den(bound)): refuse one past the print limit before
+    # the trace, which holds about r bits per step r.  At 1/3, `--epsilon
+    # 1/10^5000` ran 6.8 s into the print limit and 1/10^30000 49 s into a
+    # MemoryError (3 GB cap); a target with a 4,200-digit denominator at
+    # `--epsilon 1/10^4000` ran 5.3 s.  The largest allowed prints 185 MB in 6.6 s.
+    bound = last_error_bound(c, epsilon)  # validates c and epsilon
+    low = alpha_integral(_bracket_index(c))
+    if math.lcm(low.denominator, c.denominator, bound.denominator) >= 10 ** MAX_DECIMAL_DIGITS:
+        raise DomainError(f"the last error's denominator would pass {MAX_DECIMAL_DIGITS} digits")
     trace = approximate(c, epsilon)
     if args.full_partition:
         _refuse_over(trace.start_index, MAX_LARGEST_PART,
@@ -330,7 +335,8 @@ def _cmd_collide(args):
     if 1 <= length <= n:
         # p(n, ℓ) >= (n − ℓ) // 2 + 1 for ℓ >= 2 (the partitions of n − ℓ into
         # parts <= 2); refusing on that first leaves only cheap exact counts.
-        side = (n - length + 1) ** 2
+        k = n - length + 1
+        side = (min(args.order, k) + 1) * k
         low = (n - length) // 2 + 1 if length > 1 else 1
         message = "collide would take about {} steps"
         _refuse_over(low * side, MAX_COLLIDE_STEPS, message)

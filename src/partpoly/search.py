@@ -4,25 +4,27 @@ Unequal partitions of the same size and length can share the values of the
 first several derivatives of their partition polynomials at x = 1.  This
 module finds such collisions by grouping partitions on exact big-integer
 profile prefixes, and reports the smallest derivative order that separates
-a given pair (or that no order does, up to the largest part).
+a given pair (none separates only equal partitions).
 """
 
 from collections import namedtuple
 from itertools import zip_longest
 
-from .calculus import derivative_profile
+from .calculus import _derivatives, derivative_profile, evaluate
 from .errors import DomainError
 from .partitions import iter_partitions
 
 
 def distinguishing_order(lam, mu):
-    """Smallest d with f_λ^(d)(1) ≠ f_μ^(d)(1), scanning d up to the larger
-    of the two largest parts; None when no order in that range separates
-    them (identical partitions, or an unresolved unequal pair)."""
-    # f^(d)(1) = 0 for d beyond the largest part
-    pairs = zip_longest(derivative_profile(lam), derivative_profile(mu), fillvalue=0)
+    """Smallest d with f_λ^(d)(1) ≠ f_μ^(d)(1), differentiating both one order
+    at a time; None exactly when λ = μ.  f^(d)(1) = Σ_i i(i−1)⋯(i−d+1)·m_i,
+    so equal values through order K, the larger largest part, mean equal
+    power sums Σ_i i^j·m_i for j <= K, a Vandermonde system over the part
+    sizes 1..K that fixes the multiplicities."""
+    # f^(d)(1) = 0 for d beyond the largest part, where () evaluates to 0
+    pairs = zip_longest(_derivatives(lam), _derivatives(mu), fillvalue=())
     for d, (a, b) in enumerate(pairs):
-        if a != b:
+        if evaluate(a, 1) != evaluate(b, 1):
             return d
     return None
 
@@ -54,7 +56,7 @@ def collision_search(n, length, order):
     for p in iter_partitions(n, length):
         # f^(d)(1) > 0 up to the largest part and 0 beyond it, so the
         # unpadded prefix groups exactly as the zero-padded one would.
-        key = tuple(derivative_profile(p)[: order + 1])
+        key = tuple(derivative_profile(p, order))
         buckets.setdefault(key, []).append(p)
     keys = tuple(k for k, g in buckets.items() if len(g) >= 2)
     groups = tuple(tuple(buckets[k]) for k in keys)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import partpoly.calculus
 from partpoly import (
     DomainError,
     Partition,
@@ -122,6 +123,28 @@ def test_derivative_profile_example3():
 
 def test_derivative_profile_all_ones():
     assert derivative_profile(Partition([7])) == [7, 7]
+
+
+@example([], 0)
+@example([0, 0, 3], 5)
+@given(
+    st.lists(st.integers(min_value=0, max_value=6), max_size=9),
+    st.integers(min_value=0, max_value=12),
+)
+def test_capped_profile_is_the_full_profile_prefix(mults, d):
+    # d runs past the largest part (at most 9), where the profile stops at k
+    p = Partition(mults)
+    assert derivative_profile(p, d) == derivative_profile(p)[: d + 1]
+
+
+def test_capped_profile_stops_differentiating_at_the_cap(monkeypatch):
+    calls = []
+    real_diff = partpoly.calculus.diff
+    monkeypatch.setattr(partpoly.calculus, "diff", lambda c: calls.append(c) or real_diff(c))
+    assert derivative_profile(LAMBDA1, 2) == [4, 10, 24]
+    assert len(calls) == 2
+    with pytest.raises(DomainError):
+        derivative_profile(LAMBDA1, -1)
 
 
 def test_derivative_profile_invariants():

@@ -487,12 +487,28 @@ def test_unprintable_density_exits_1_at_once(epsilon, capsys):
     assert str(MAX_DECIMAL_DIGITS) in err
 
 
+def test_unprintable_density_target_exits_1_at_once(capsys):
+    # the bound 3/(20·2^r) prints, but achieved_error carries the target's
+    # 4,201-digit denominator too, and the steps ran 5.3 s before the print
+    target = format_rational(Fraction(1, 3) + Fraction(1, 10 ** 4200))
+    start = time.perf_counter()
+    status, text = _run(["density", "--target", target, "--epsilon", f"1/{10 ** 4000}"])
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert status == 1 and text == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(MAX_DECIMAL_DIGITS) in err
+
+
 def test_largest_printable_density_runs(capsys, monkeypatch):
-    # the last step r at the target 1/3 whose bound (b − a)/2^r can print;
-    # ε = (b − a)/2^(r − 1) stops there, and half of it one step later
+    # the last step r at the target 1/3 whose lcm(den(a), 3, den((b − a)/2^r))
+    # stays under the print limit; ε = (b − a)/2^(r − 1) stops there, and half
+    # of it one step later
     small = approximate(Fraction(1, 3), Fraction(1, 1000))
     a, b = small.interval
-    printable = lambda r: ((b - a) / 2 ** r).denominator < 10 ** MAX_DECIMAL_DIGITS
+    printable = lambda r: math.lcm(
+        a.denominator, 3, ((b - a) / 2 ** r).denominator
+    ) < 10 ** MAX_DECIMAL_DIGITS
     r = next(r for r in range(14000, 15000) if not printable(r + 1))
     assert printable(r)
     # the trace is stubbed: the largest allowed run prints 185 MB of table
@@ -515,13 +531,19 @@ def test_derived_seq_walks_the_derivative_once():
 
 
 @pytest.mark.parametrize("argv, allowed", [
-    (["--n", "60", "--length", "5", "--order", "3"], True),  # 16,495,360 steps
-    (["--n", "4472", "--length", "1", "--order", "1"], True),  # one partition, k² = 19,998,784
-    (["--n", "4473", "--length", "1", "--order", "1"], False),
+    (["--n", "60", "--length", "5", "--order", "3"], True),  # 1,178,240 steps
+    (["--n", "4473", "--length", "1", "--order", "1"], True),  # one partition, 2·k = 8,946
+    (["--n", "1414", "--length", "1", "--order", "1414"], False),  # (k + 1)·k = 2,000,810
     (["--n", "200", "--length", "10", "--order", "2"], False),  # p(200, 10) = 807,151,588
     (["--n", "10000000000", "--length", "5", "--order", "2"], False),
     # counting these p(n, ℓ) would take 2.5·10^11 steps: the parts <= 2 bound refuses first
     (["--n", "1000000", "--length", "499999", "--order", "2"], False),
+    (["--n", "1413", "--length", "1", "--order", "1413"], True),  # 1,997,982
+    (["--n", "1414", "--length", "1", "--order", "5000"], False),  # the order is capped at k
+    (["--n", "1000000", "--length", "1", "--order", "1"], True),  # 2·k = 2,000,000
+    (["--n", "1000001", "--length", "1", "--order", "1"], False),
+    (["--n", "159", "--length", "2", "--order", "159"], True),  # 79·159·158 = 1,984,638
+    (["--n", "160", "--length", "2", "--order", "160"], False),  # 80·160·159 = 2,035,200
 ])
 def test_oversized_collide_exits_1(argv, allowed, capsys, monkeypatch):
     monkeypatch.setattr(
@@ -562,11 +584,24 @@ def test_avg_p_n_l_matches_enumeration():
 def test_collide_profiles_each_partition_once(monkeypatch):
     calls = []
     profile = partpoly.search.derivative_profile
-    monkeypatch.setattr(partpoly.search, "derivative_profile", lambda p: calls.append(p) or profile(p))
+
+    def spy(p, order=None):
+        calls.append(order)
+        return profile(p, order)
+
+    monkeypatch.setattr(partpoly.search, "derivative_profile", spy)
     status, _ = _run(["collide", "--n", "12", "--length", "3", "--order", "2"])
     assert status == 0
-    assert len(calls) == count_partitions(12, 3)
+    assert calls == [2] * count_partitions(12, 3)  # each only through --order
     assert collision_search(12, 3, 2).groups  # the rows were not empty
+
+
+def test_full_size_collide_golden():
+    # the benchmark's collide call, pinned from the code that sliced full profiles
+    status, text = _run(["collide", "--n", "60", "--length", "5", "--order", "3", "--format", "json"])
+    assert status == 0
+    digest = "453eabfea2bbb9f3f608da261e57c18967f9a3dbee8e0192f7a6e6126bfc814d"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_import_leaves_out_the_process_pool():

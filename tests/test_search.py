@@ -39,6 +39,36 @@ def test_distinguishing_order_pads_past_largest_part():
     assert d == 2
 
 
+def test_distinguishing_order_is_none_only_for_equal_partitions():
+    # equal f^(0..K)(1) over part sizes 1..K fix the multiplicities
+    ps = [p for n in range(1, 9) for p in iter_partitions(n)]
+    for a in ps:
+        for b in ps:
+            d = distinguishing_order(a, b)
+            assert (d is None) == (a == b)
+            if d:
+                assert derivative_profile(a, d - 1) == derivative_profile(b, d - 1)
+
+
+def test_ideal_pte_pair_first_differs_at_order_5():
+    # {0,4,8,16,17} / {1,2,10,14,18}, an ideal Prouhet–Tarry–Escott pair of
+    # degree 4 (Borwein & Ingalls 1994), shifted by 1: equal power sums
+    # Σ a^j for j <= 4, so equal f^(0..4)(1), and the only such pair of n = 50
+    xs, ys = [1, 5, 9, 17, 18], [2, 3, 11, 15, 19]
+    power_sums = [sum(x ** j for x in xs) - sum(y ** j for y in ys) for j in range(6)]
+    assert power_sums[:5] == [0] * 5 and power_sums[5]
+    a, b = Partition.from_parts(xs), Partition.from_parts(ys)
+    assert distinguishing_order(a, b) == 5
+    report = collision_search(50, 5, 4)
+    assert report.groups == ((b, a),)
+    assert report.keys == (tuple(derivative_profile(a, 4)),)
+
+
+@pytest.mark.parametrize("length, order, n", [(3, 2, 9), (4, 3, 18)])
+def test_smallest_collision_size_fixtures(length, order, n):
+    assert smallest_collision_size(length, order, n_max=n) == n
+
+
 def test_collision_search_12_3_2():
     report = collision_search(12, 3, 2)
     target = {Partition.from_parts([6, 5, 1]), Partition.from_parts([7, 3, 2])}
@@ -63,8 +93,7 @@ def test_collision_groups_consistent_with_orders():
                 assert a != b
                 assert a.size == 12 and b.size == 12
                 assert a.length == b.length == 3
-                d = distinguishing_order(a, b)
-                assert d is None or d > 2
+                assert distinguishing_order(a, b) > 2
 
 
 def test_collision_search_length_one_never_collides():
