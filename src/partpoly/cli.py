@@ -41,10 +41,11 @@ MAX_DERIVATIVE_STEPS = 10 ** 7
 
 # `derivatives --at p/q` evaluates a degree-K polynomial (K = k for all orders,
 # k − d for `--order d`) by Horner's rule on values of about K·log2 max(|p|, q)
-# bits; past this bound on K·⌊log2 max(|p|, q)⌋ they cannot print (see
-# MAX_SUPERNORM_BITS) unless terms cancel or share factors with q.  At the limit
-# `--parts 1,14284 --order 0 --at 1/2` prints in 0.1 s; `--parts 300 --at
-# 1/10^3000` used to run over 60 s before the print limit stopped it.
+# bits; past this bound on K·⌊log2 max(|p|, q)⌋, or once max(|p|, q)^K has more
+# than MAX_DECIMAL_DIGITS digits, they cannot print (see MAX_SUPERNORM_BITS)
+# unless terms cancel or share factors with q.  At the limit `--parts 1,14284
+# --order 0 --at 1/2` and `--parts 1,9012 --order 0 --at 1/3` print in 0.1 s;
+# `--parts 300 --at 1/10^3000` used to run over 60 s before the print limit.
 MAX_VALUE_BITS = 14284
 
 # 2^14285 > 10^4300 > 2^14284: a supernorm with a lower bound on its bit
@@ -58,8 +59,8 @@ MAX_COUNT_STEPS = 10 ** 7
 
 # `avg`, `avg-table` and `conjecture` fill the CountTable triangle, (n+1)(n+2)/2
 # ints of about 36 bytes: `avg --n 3000` fills 4.5·10^6 cells in 1.3 s and
-# 160 MB.  `avg-table` then sums about n² fractions (n = 1000 takes 4.7 s), and
-# `conjecture` runs it for every n up to its bound (200 takes 8 s, as n^3.2).
+# 160 MB.  `avg-table` then builds n profiles and integrals (n = 1000 takes
+# 4 s), and `conjecture` runs it for every n up to its bound (200 takes 5 s).
 MAX_TABLE_CELLS = 5 * 10 ** 6
 MAX_AVG_TABLE_N = 1000
 MAX_CONJECTURE_N = 200
@@ -179,7 +180,10 @@ def _cmd_derivatives(args):
     elif d <= k:  # a higher order is 0 at once
         _refuse_over(d * k, MAX_DERIVATIVE_STEPS, "--order would take about {} steps")
     degree = max(k - (d or 0), 0)  # of f^(d), or of f itself for all orders
-    bits = degree * (max(abs(x.numerator), x.denominator).bit_length() - 1)
+    base = max(abs(x.numerator), x.denominator)
+    bits = degree * (base.bit_length() - 1)  # floored: 3^K reads as 2^K
+    if bits <= MAX_VALUE_BITS and base ** degree >= 10 ** MAX_DECIMAL_DIGITS:
+        bits = (base ** degree).bit_length()  # > MAX_VALUE_BITS, as 2^14285 > 10^4300
     _refuse_over(bits, MAX_VALUE_BITS, "the value at --at would have about {} bits")
     if d is None:
         values = enumerate(derivative_values(p, x))
@@ -459,8 +463,8 @@ def run(argv=None, out=None):
         # DomainError is a ValueError.  The catch is wider than DomainError
         # on purpose: exact output too large to print (a rational or count
         # past 4300 digits) fails fast only through Python's int -> str limit,
-        # which raises a plain ValueError: `derivatives --parts 1,14284 --order 0
-        # --at 1/3` passes MAX_VALUE_BITS but its denominator 3^14284 cannot print.
+        # which raises a plain ValueError: `integral --mults` with 10,000 ones
+        # has a denominator near lcm(2..10001), past 4300 digits.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -435,6 +435,9 @@ def test_print_limits_match_python_int_str_limit():
     (["derivatives", "--parts", "100", "--at", "1/10^1000"], MAX_VALUE_BITS),
     (["derivatives", "--parts", "300", "--at", "1/10^3000"], MAX_VALUE_BITS),
     (["derivatives", "--parts", "300", "--order", "301", "--at", "1/10^3000"], None),
+    # the floor reads 3^K as 2^K, so max(|p|, q)^K is also checked for digits
+    (["derivatives", "--parts", "1,9013", "--order", "0", "--at", "1/3"], MAX_VALUE_BITS),
+    (["derivatives", "--parts", "1,14284", "--order", "0", "--at", "1/3"], MAX_VALUE_BITS),
 ])
 def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     # the work after each check is stubbed so that the check alone is timed
@@ -474,6 +477,23 @@ def test_largest_value_at_a_point_prints():
     status, text = _run(["derivatives", "--parts", "1,14284", "--order", "0", "--at", "1/2", "--format", "json"])
     value = Fraction(1, 2) + Fraction(1, 2 ** 14284)
     assert status == 0 and json.loads(text)["values"][0]["value"] == format_rational(value)
+
+
+def test_largest_value_at_one_third_prints():
+    # 3^9012 has exactly 4300 digits, 3^9013 one more (refused above)
+    assert len(str(3 ** 9012)) == MAX_DECIMAL_DIGITS
+    status, text = _run(["derivatives", "--parts", "1,9012", "--order", "0", "--at", "1/3", "--format", "json"])
+    value = Fraction(1, 3) + Fraction(1, 3 ** 9012)
+    assert status == 0 and json.loads(text)["values"][0]["value"] == format_rational(value)
+
+
+def test_unprintable_integral_exits_1(capsys):
+    # ⟨1, 2, ..., 10000⟩: (H_10001 − 1)/10000 has a denominator past 4300 digits,
+    # which only Python's int -> str limit refuses
+    status, text = _run(["integral", "--mults", ",".join(["1"] * 10000)])
+    err = capsys.readouterr().err
+    assert status == 1 and text == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("epsilon", ["1/10^5000", "1/10^30000"])

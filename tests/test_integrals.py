@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from partpoly import (
     DomainError,
@@ -19,6 +21,34 @@ def _integral_oracle(p):
     coeffs = poly_of(p)
     total = sum(Fraction(c, i + 1) for i, c in enumerate(coeffs))
     return total / p.length
+
+
+def _fraction_sum_oracle(p):
+    # the closed form summed one Fraction per part size
+    total = sum(Fraction(m, i + 1) for i, m in enumerate(p.multiplicities, start=1) if m)
+    return total / p.length
+
+
+_mult = st.integers(0, 10 ** 3000) | st.integers(0, 5)
+
+
+@st.composite
+def _sparse(draw):
+    # ⟨1^a, s^b⟩ and one more part size, with s up to 10^6
+    s = draw(st.integers(2, 10 ** 6))
+    mults = [0] * s
+    mults[0], mults[s - 1] = draw(_mult), draw(_mult)
+    mults[draw(st.integers(0, s - 1))] += draw(_mult)
+    return mults
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_mult, min_size=1, max_size=40) | _sparse())
+def test_integral_matches_fraction_sum(mults):
+    # interior zeros, multiplicities up to 10^3000, part sizes up to 10^6
+    p = Partition(mults)
+    assume(not p.is_empty)
+    assert integral(p) == _fraction_sum_oracle(p)
 
 
 def test_normalized_eval_endpoints():
@@ -66,6 +96,14 @@ def test_integral_alpha_family_closed_form():
     for s in range(2, 30):
         p = Partition([1] + [0] * (s - 2) + [s - 1])
         assert integral(p) == (Fraction(1, 2) + Fraction(s - 1, s + 1)) / s
+
+
+def test_integral_sparse_partition_is_fast():
+    # D is lcm(2, 10^6 + 1), not lcm(2..10^6 + 1), a number of 434,000 digits
+    p = Partition.from_parts([1, 10 ** 6])
+    start = time.perf_counter()
+    assert integral(p) == Fraction(10 ** 6 + 3, 4 * (10 ** 6 + 1))
+    assert time.perf_counter() - start < 1
 
 
 def test_integral_rejects_empty():
