@@ -29,28 +29,18 @@ MAX_DECIMAL_DIGITS = 4300
 # before the list is built.  `poly --parts 1000000` takes 7 s and 540 MB.
 MAX_LARGEST_PART = 10 ** 6
 
-# All-orders `derivatives` and `derived-seq` always print k!·m_k: it is
-# f^(k), and λ^(k−1)'s multiplicity of part 1.  1559 is the smallest k with
-# k! >= 10^4300, which Python cannot print (see MAX_DECIMAL_DIGITS).
-MAX_ALL_ORDERS_PART = 1558
-
 # `derivatives --order d <= k` takes d·k steps for a largest part k: 0.9 s at
 # k = 20,000 and 1.3 s at k = 10^5 for 10^7 steps; k = 20,000, d = 10,000 took
 # 13 s.  Evaluating the result adds k Fraction steps, 4.5 s at k = 10^6.
 MAX_DERIVATIVE_STEPS = 10 ** 7
 
-# `derivatives --at p/q` evaluates a degree-K polynomial (K = k for all orders,
-# k − d for `--order d`) by Horner's rule on values of about K·log2 max(|p|, q)
-# bits; past this bound on K·⌊log2 max(|p|, q)⌋, or once max(|p|, q)^K has more
-# than MAX_DECIMAL_DIGITS digits, they cannot print (see MAX_SUPERNORM_BITS)
-# unless terms cancel or share factors with q.  At the limit `--parts 1,14284
-# --order 0 --at 1/2` and `--parts 1,9012 --order 0 --at 1/3` print in 0.1 s;
-# `--parts 300 --at 1/10^3000` used to run over 60 s before the print limit.
-MAX_VALUE_BITS = 14284
-
-# 2^14285 > 10^4300 > 2^14284: a supernorm with a lower bound on its bit
-# length past this has more digits than Python prints.
-MAX_SUPERNORM_BITS = 14284
+# 2^14285 > 10^4300 > 2^14284: a value of more bits than this cannot print.
+# `stats` refuses a lower bound on the supernorm's bit length past it, and
+# `derivatives --at p/q` one of K·⌊log2 max(|p|, q)⌋, where Horner's rule on the
+# degree-K polynomial (K = k for all orders, k − d for `--order d`) makes values
+# of about K·log2 max(|p|, q) bits, or a max(|p|, q)^K of more than
+# MAX_DECIMAL_DIGITS digits, unless terms cancel or share factors with q.
+MAX_VALUE_BITS = (10 ** MAX_DECIMAL_DIGITS).bit_length() - 1
 
 # `count` refuses a call whose step estimate passes this: n^1.5 for p(n),
 # (n − ℓ)·ℓ for p(n, ℓ), and (n − ℓ)^1.5 once ℓ >= n − ℓ.  10^7 steps take
@@ -112,6 +102,18 @@ def _refuse_over(value, limit, message):
         raise DomainError(f"{message.format(value)}; the limit is {limit}")
 
 
+def _refuse_all_orders(p):
+    """All orders print each i!·m_i, i <= k: f^(i)(0), λ^(i−1)'s count of ones,
+    and a lower bound on f^(i)(x) at x >= 0 (an estimate below 0).  As i! <=
+    k!·m_k, refuse at the first i!·max(m_i, 1) >= 10^MAX_DECIMAL_DIGITS: i = 1559
+    at the latest."""
+    bound, factorial = 10 ** MAX_DECIMAL_DIGITS, 1
+    for i, m in enumerate(p.multiplicities, 1):
+        factorial *= i
+        if factorial * max(m, 1) >= bound:
+            raise DomainError(f"all orders would print {i}!·m_{i}, past {MAX_DECIMAL_DIGITS} digits")
+
+
 def _partition(args):
     if args.parts is not None:
         _refuse_over(max(args.parts, default=0), MAX_LARGEST_PART, "--parts has a part {}")
@@ -153,7 +155,7 @@ def _cmd_stats(args):
     bits = sum(
         m * (nth_prime(i).bit_length() - 1) for i, m in enumerate(p.multiplicities, 1) if m
     )
-    _refuse_over(bits, MAX_SUPERNORM_BITS, "the supernorm has at least {} bits")
+    _refuse_over(bits, MAX_VALUE_BITS, "the supernorm has at least {} bits")
     row = {
         "partition": str(p),
         "length": p.length,
@@ -176,7 +178,7 @@ def _cmd_derivatives(args):
     x = parse_rational(args.at)
     k, d = p.largest_part, args.order
     if d is None:
-        _refuse_over(k, MAX_ALL_ORDERS_PART, "all orders of a largest part {}")
+        _refuse_all_orders(p)
     elif d <= k:  # a higher order is 0 at once
         _refuse_over(d * k, MAX_DERIVATIVE_STEPS, "--order would take about {} steps")
     degree = max(k - (d or 0), 0)  # of f^(d), or of f itself for all orders
@@ -203,7 +205,7 @@ def _cmd_derivatives(args):
 
 def _cmd_derived_seq(args):
     p = _partition(args)
-    _refuse_over(p.largest_part, MAX_ALL_ORDERS_PART, "all orders of a largest part {}")
+    _refuse_all_orders(p)
     rows, seq = [], []
     for d, q in enumerate(_derivatives(p)):
         dp = Partition(q[1:])  # derived_partition(p, d)

@@ -74,10 +74,7 @@ def nth_prime(i):
 
 def format_rational(q):
     """Serialize a Fraction as "num/den", or "num" when the denominator is 1."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 # parse_rational refuses a power b^e once (bit_length(b) − 1)·e, a lower

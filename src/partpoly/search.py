@@ -8,25 +8,20 @@ a given pair (none separates only equal partitions).
 """
 
 from collections import namedtuple
-from itertools import zip_longest
 
-from .calculus import _derivatives, derivative_profile, evaluate
+from .calculus import derivative_profile
 from .errors import DomainError
 from .partitions import iter_partitions
 
 
 def distinguishing_order(lam, mu):
-    """Smallest d with f_λ^(d)(1) ≠ f_μ^(d)(1), differentiating both one order
-    at a time; None exactly when λ = μ.  f^(d)(1) = Σ_i i(i−1)⋯(i−d+1)·m_i,
-    so equal values through order K, the larger largest part, mean equal
-    power sums Σ_i i^j·m_i for j <= K, a Vandermonde system over the part
-    sizes 1..K that fixes the multiplicities."""
-    # f^(d)(1) = 0 for d beyond the largest part, where () evaluates to 0
-    pairs = zip_longest(_derivatives(lam), _derivatives(mu), fillvalue=())
-    for d, (a, b) in enumerate(pairs):
-        if evaluate(a, 1) != evaluate(b, 1):
-            return d
-    return None
+    """Smallest d with f_λ^(d)(1) ≠ f_μ^(d)(1); None exactly when λ = μ.
+    f^(d)(1) = Σ_j s(d, j)·M_j for the power sums M_j = Σ_i i^j·m_i, a
+    unitriangular map, so d is also the first order with M_d unequal.  Equal
+    M_0..M_K over the part sizes 1..K, K the larger largest part, form a
+    Vandermonde system that fixes the multiplicities."""
+    K = max(lam.largest_part, mu.largest_part)
+    return next((d for d in range(K + 1) if lam.moment(d) != mu.moment(d)), None)
 
 
 class CollisionReport(namedtuple("CollisionReport", "n length order groups keys")):

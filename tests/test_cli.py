@@ -24,7 +24,6 @@ from partpoly import (
     iter_partitions,
 )
 from partpoly.cli import (
-    MAX_ALL_ORDERS_PART,
     MAX_AVG_TABLE_N,
     MAX_COLLIDE_STEPS,
     MAX_CONJECTURE_N,
@@ -32,7 +31,6 @@ from partpoly.cli import (
     MAX_DECIMAL_DIGITS,
     MAX_DERIVATIVE_STEPS,
     MAX_LARGEST_PART,
-    MAX_SUPERNORM_BITS,
     MAX_TABLE_CELLS,
     MAX_VALUE_BITS,
     build_parser,
@@ -403,12 +401,13 @@ def test_oversized_averages_exit_1(argv, limit, capsys, monkeypatch):
 
 
 def test_print_limits_match_python_int_str_limit():
-    # the constants are the last sizes whose k!·m_k and supernorm can print
+    # 1558 is the largest part whose all orders can print (k!·m_k at m_k = 1),
+    # and MAX_VALUE_BITS the most bits of a value that can
     bound = 10 ** MAX_DECIMAL_DIGITS
-    assert math.factorial(MAX_ALL_ORDERS_PART) < bound <= math.factorial(MAX_ALL_ORDERS_PART + 1)
-    assert 2 ** MAX_SUPERNORM_BITS < bound < 2 ** (MAX_SUPERNORM_BITS + 1)
-    assert len(str(math.factorial(MAX_ALL_ORDERS_PART))) <= MAX_DECIMAL_DIGITS
-    assert len(str(2 ** MAX_SUPERNORM_BITS)) <= MAX_DECIMAL_DIGITS
+    assert math.factorial(1558) < bound <= math.factorial(1559)
+    assert 2 ** MAX_VALUE_BITS < bound < 2 ** (MAX_VALUE_BITS + 1)
+    assert len(str(math.factorial(1558))) <= MAX_DECIMAL_DIGITS
+    assert len(str(2 ** MAX_VALUE_BITS)) <= MAX_DECIMAL_DIGITS
 
 
 @pytest.mark.parametrize("argv, limit", [
@@ -416,13 +415,13 @@ def test_print_limits_match_python_int_str_limit():
     (["integral", "--parts", "2,1000001"], MAX_LARGEST_PART),
     (["poly", "--parts", "20000000", "--format", "json"], MAX_LARGEST_PART),
     (["derivatives", "--parts", "1558,1"], None),
-    (["derivatives", "--parts", "1559"], MAX_ALL_ORDERS_PART),
+    (["derivatives", "--parts", "1559"], MAX_DECIMAL_DIGITS),
     (["derivatives", "--parts", "1559", "--order", "3"], None),
     (["derived-seq", "--parts", "1558"], None),
-    (["derived-seq", "--mults", ",".join(["0"] * 1558 + ["1"])], MAX_ALL_ORDERS_PART),
-    (["stats", "--mults", str(MAX_SUPERNORM_BITS)], None),
-    (["stats", "--mults", str(MAX_SUPERNORM_BITS + 1)], MAX_SUPERNORM_BITS),
-    (["stats", "--mults", "0,0,0,0,0,0,0,0,0,30000000"], MAX_SUPERNORM_BITS),
+    (["derived-seq", "--mults", ",".join(["0"] * 1558 + ["1"])], MAX_DECIMAL_DIGITS),
+    (["stats", "--mults", str(MAX_VALUE_BITS)], None),
+    (["stats", "--mults", str(MAX_VALUE_BITS + 1)], MAX_VALUE_BITS),
+    (["stats", "--mults", "0,0,0,0,0,0,0,0,0,30000000"], MAX_VALUE_BITS),
     (["derivatives", "--parts", "20000", "--order", "500"], None),  # d·k = 10^7
     (["derivatives", "--parts", "20000", "--order", "501"], MAX_DERIVATIVE_STEPS),
     (["derivatives", "--parts", "1000000", "--order", "500000", "--at", "0"], MAX_DERIVATIVE_STEPS),
@@ -438,6 +437,13 @@ def test_print_limits_match_python_int_str_limit():
     # the floor reads 3^K as 2^K, so max(|p|, q)^K is also checked for digits
     (["derivatives", "--parts", "1,9013", "--order", "0", "--at", "1/3"], MAX_VALUE_BITS),
     (["derivatives", "--parts", "1,14284", "--order", "0", "--at", "1/3"], MAX_VALUE_BITS),
+    # all orders print every i!·m_i: 1400!·10^2000 and 1000!·10^2000 pass 10^4300
+    (["derivatives", "--mults", ",".join(["0"] * 1399 + [str(10 ** 2000)])], MAX_DECIMAL_DIGITS),
+    (["derived-seq", "--mults", ",".join(["0"] * 1399 + [str(10 ** 2000)])], MAX_DECIMAL_DIGITS),
+    (["derivatives", "--mults", ",".join(["0"] * 999 + [str(10 ** 2000)] + ["0"] * 399 + ["1"])],
+     MAX_DECIMAL_DIGITS),
+    # a zero m_i counts as 1, so the check ends by i = 1559 under any largest part
+    (["derived-seq", "--parts", "1,1000000"], MAX_DECIMAL_DIGITS),
 ])
 def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     # the work after each check is stubbed so that the check alone is timed

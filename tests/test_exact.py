@@ -108,6 +108,7 @@ def test_nth_prime_matches_trial_division(monkeypatch):
 def test_rational_strings():
     assert format_rational(Fraction(77, 240)) == "77/240"
     assert format_rational(Fraction(6, 3)) == "2"
+    assert format_rational(-3) == "-3" and format_rational(0.5) == "1/2"
     assert parse_rational("77/240") == Fraction(77, 240)
     assert parse_rational("-5") == -5
     with pytest.raises(DomainError):

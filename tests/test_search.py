@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from partpoly import (
     DomainError,
@@ -48,6 +49,28 @@ def test_distinguishing_order_is_none_only_for_equal_partitions():
             assert (d is None) == (a == b)
             if d:
                 assert derivative_profile(a, d - 1) == derivative_profile(b, d - 1)
+
+
+def _first_padded_profile_difference(lam, mu):
+    # the oracle: f^(d)(1) for d <= K, the larger largest part, zero past each
+    # partition's own largest part
+    K = max(lam.largest_part, mu.largest_part)
+    a, b = (derivative_profile(p) + [0] * (K - p.largest_part) for p in (lam, mu))
+    return next((d for d, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+MULTS = st.lists(st.integers(min_value=0, max_value=4), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@example([1, 2, 0, 0, 1], [1, 1, 1, 1], False)  # ⟨5,2,2,1⟩ / ⟨4,3,2,1⟩: order 2
+@example([1, 0, 0, 0, 1, 1], [0, 1, 1, 0, 0, 0, 1], False)  # order 3
+@example([1, 0, 1], [0, 2], False)  # different largest parts
+@example([], [], True)
+@given(MULTS, MULTS, st.booleans())
+def test_distinguishing_order_matches_padded_profiles(a, b, equal):
+    lam, mu = Partition(a), Partition(a + [0] if equal else b)
+    assert distinguishing_order(lam, mu) == _first_padded_profile_difference(lam, mu)
 
 
 def test_ideal_pte_pair_first_differs_at_order_5():
