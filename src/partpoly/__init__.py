@@ -12,7 +12,6 @@ from .calculus import (
 )
 from .averages import (
     AvgReport,
-    MultiplicityProfile,
     avg,
     avg2_closed_form,
     avg3_lower_bound,
@@ -34,10 +33,8 @@ from .integrals import integral, is_nontrivial, normalized_eval
 from .partitions import (
     CountTable,
     Partition,
-    PartitionStats,
     count_partitions,
     iter_partitions,
-    stats,
 )
 from .search import (
     CollisionReport,
@@ -53,9 +50,7 @@ __all__ = [
     "DensityStep",
     "DensityTrace",
     "DomainError",
-    "MultiplicityProfile",
     "Partition",
-    "PartitionStats",
     "alpha",
     "approximate",
     "avg",
@@ -85,6 +80,5 @@ __all__ = [
     "poly_of",
     "rational_to_decimal",
     "smallest_collision_size",
-    "stats",
     "stirling2",
 ]

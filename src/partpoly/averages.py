@@ -1,10 +1,11 @@
 """Average integrals over all partitions of fixed size and length.
 
 Avg(n, ℓ) is the mean of ∫₀¹ f̂_λ over partitions of n into ℓ parts.  It
-equals the integral of the single combined partition obtained by adding all
-of their multiplicities, so it can be computed without enumeration from the
-multiplicity profile: the number of parts of size i across all partitions of
-n into ℓ parts is Σ_{j≥1} p(n − j·i, ℓ − j).  Enumeration is kept as the
+equals the integral of the single combined partition, the ⊕-sum of all of
+them, which multiplicity_profile builds without enumeration: the number of
+parts of size i across all partitions of n into ℓ parts is
+Σ_{j≥1} p(n − j·i, ℓ − j).  The combined partition has length ℓ·p(n, ℓ),
+size n·p(n, ℓ) and largest part n − ℓ + 1.  Enumeration is kept as the
 oracle at small n in the tests.
 
 The even-n closed form for Avg(n, 2) here carries the correction term
@@ -23,18 +24,6 @@ from .integrals import integral
 from .partitions import CountTable, Partition, count_partitions
 
 
-class MultiplicityProfile(namedtuple("MultiplicityProfile", "n length counts")):
-    """Total multiplicity of each part size over all partitions of n into
-    `length` parts; counts[i-1] is the count for part size i."""
-
-    __slots__ = ()
-
-    @property
-    def num_partitions(self):
-        # Σ counts = ℓ · p(n, ℓ), so recover p(n, ℓ) from the profile
-        return sum(self.counts) // self.length
-
-
 class AvgReport(namedtuple("AvgReport", "n values monotone first_violation")):
     """values[ℓ-1] is Avg(n, ℓ) for ℓ = 1..n; first_violation is the smallest
     ℓ with values[ℓ-1] > values[ℓ], or None when the row is monotone."""
@@ -43,8 +32,9 @@ class AvgReport(namedtuple("AvgReport", "n values monotone first_violation")):
 
 
 def multiplicity_profile(n, length, table=None):
-    """Occurrence-counting DP for the combined partition of all partitions
-    of n into `length` parts."""
+    """The combined partition ⊕ of all partitions of n into `length` parts:
+    its multiplicity of part i is the number of parts of size i among them,
+    counted from the table without enumeration."""
     if n < 1 or length < 1 or length > n:
         raise DomainError("need 1 <= length <= n")
     table = table or CountTable()
@@ -57,13 +47,13 @@ def multiplicity_profile(n, length, table=None):
             c += table.count(n - j * i, length - j)
             j += 1
         counts.append(c)
-    return MultiplicityProfile(n, length, tuple(counts))
+    return Partition(counts)
 
 
 def avg(n, length, table=None):
     """Avg(n, ℓ): mean integral over all partitions of n into ℓ parts,
     computed as the integral of the combined partition."""
-    return integral(Partition(multiplicity_profile(n, length, table).counts))
+    return integral(multiplicity_profile(n, length, table))
 
 
 def avg_table(n, table=None):

@@ -83,7 +83,7 @@ def deriv_recursive_eval(partition, d, x):
     return values[d]
 
 
-def _derivatives(partition, order=None):
+def derivatives(partition, order=None):
     """Yield the tuples of f, f', ..., f^(min(order, k)), differentiating once
     per order and never past the last one yielded."""
     k = partition.largest_part
@@ -96,7 +96,7 @@ def _derivatives(partition, order=None):
 
 def derivative_values(partition, x):
     """[f^(0)(x), f^(1)(x), ..., f^(k)(x)] at any rational x; 0 past k."""
-    return [evaluate(p, x) for p in _derivatives(partition)]
+    return [evaluate(p, x) for p in derivatives(partition)]
 
 
 def derivative_profile(partition, order=None):
@@ -105,7 +105,7 @@ def derivative_profile(partition, order=None):
     entry 1 the size."""
     if order is not None and order < 0:
         raise DomainError("derivative order must be nonnegative")
-    return [int(evaluate(p, 1)) for p in _derivatives(partition, order)]
+    return [int(evaluate(p, 1)) for p in derivatives(partition, order)]
 
 
 def derived_partition(partition, d):

@@ -11,8 +11,8 @@ import math
 import sys
 
 from .averages import avg, avg_table, check_conjecture
-from .calculus import _derivatives, derivative_values, diff, evaluate, poly_of
-from .density import _bracket_index, alpha_integral, approximate, last_error_bound
+from .calculus import derivative_values, derivatives, diff, evaluate, poly_of
+from .density import alpha_integral, approximate, beta_integral, plan
 from .errors import DomainError
 from .exact import format_rational, nth_prime, parse_rational, rational_to_decimal
 from .integrals import integral
@@ -207,7 +207,7 @@ def _cmd_derived_seq(args):
     p = _partition(args)
     _refuse_all_orders(p)
     rows, seq = [], []
-    for d, q in enumerate(_derivatives(p)):
+    for d, q in enumerate(derivatives(p)):
         dp = Partition(q[1:])  # derived_partition(p, d)
         rows.append(
             {"order": d, "partition": str(dp), "length": str(dp.length), "size": str(dp.size)}
@@ -304,9 +304,10 @@ def _cmd_density(args):
     # 1/10^5000` ran 6.8 s into the print limit and 1/10^30000 49 s into a
     # MemoryError (3 GB cap); a target with a 4,200-digit denominator at
     # `--epsilon 1/10^4000` ran 5.3 s.  The largest allowed prints 185 MB in 6.6 s.
-    bound = last_error_bound(c, epsilon)  # validates c and epsilon
-    low = alpha_integral(_bracket_index(c))
-    if math.lcm(low.denominator, c.denominator, bound.denominator) >= 10 ** MAX_DECIMAL_DIGITS:
+    s, last = plan(c, epsilon)  # validates c and epsilon
+    a, b = alpha_integral(s), beta_integral(s)
+    bound = (b - a) / 2 ** last
+    if math.lcm(a.denominator, c.denominator, bound.denominator) >= 10 ** MAX_DECIMAL_DIGITS:
         raise DomainError(f"the last error's denominator would pass {MAX_DECIMAL_DIGITS} digits")
     trace = approximate(c, epsilon)
     if args.full_partition:

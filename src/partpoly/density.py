@@ -93,11 +93,13 @@ def _bracket_index(c):
     return s
 
 
-def _plan(c, epsilon):
-    # Validate; return c, ε, s and the step r where the search stops.  The
-    # search bisects y = (c − a)/(b − a) in (0, 1): it stops at the least r
-    # with (b − a)/2^r < ε, or earlier, at r = j, when y has the denominator
-    # 2^j, because step j's midpoint then lands on c.
+def plan(c, epsilon):
+    """Validate target c ∈ (0, 1/2) and tolerance epsilon > 0; return the
+    edges' s and the step r where `approximate` stops, building no step.
+
+    The search bisects y = (c − a)/(b − a) in (0, 1): it stops at the least r
+    with (b − a)/2^r < ε, or earlier, at r = j, when y has the denominator
+    2^j, because step j's midpoint then lands on c."""
     c = Fraction(c)
     epsilon = Fraction(epsilon)
     if not 0 < c < Fraction(1, 2):
@@ -110,20 +112,14 @@ def _plan(c, epsilon):
     j = ((c - a) / (b - a)).denominator
     if j & (j - 1) == 0:
         last = min(last, j.bit_length() - 1)
-    return c, epsilon, s, last
-
-
-def last_error_bound(c, epsilon):
-    """The certified bound (b − a)/2^r of the step r where `approximate`
-    stops for target c and tolerance epsilon, found without building a step."""
-    _, _, s, last = _plan(c, epsilon)
-    return (beta_integral(s) - alpha_integral(s)) / 2 ** last
+    return s, last
 
 
 def approximate(c, epsilon):
     """Construct a partition whose normalized integral is within `epsilon`
     of the target c ∈ (0, 1/2), with a certified error bound per step."""
-    c, epsilon, s, last = _plan(c, epsilon)
+    s, last = plan(c, epsilon)
+    c, epsilon = Fraction(c), Fraction(epsilon)
     a, b = alpha_integral(s), beta_integral(s)
     y = (c - a) / (b - a)
     steps = []

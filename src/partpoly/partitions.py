@@ -8,7 +8,6 @@ them by factorial ratios.
 """
 
 import itertools
-from collections import namedtuple
 
 from .errors import DomainError
 from .exact import nth_prime
@@ -145,15 +144,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({self})"
-
-
-class PartitionStats(namedtuple("PartitionStats", "length size largest_part")):
-    __slots__ = ()
-
-
-def stats(partition):
-    """Length, size, and largest part of a partition."""
-    return PartitionStats(partition.length, partition.size, partition.largest_part)
 
 
 def _descend(mults, n, max_part, length):

@@ -131,7 +131,7 @@ def test_criterion_7_three_part_bounds():
         for n in (20, 50, 100):
             assert avg3_lower_bound(n) <= float(avg(n, 3)) + 1e-9
         for n in range(6, 61):
-            counts = multiplicity_profile(n, 3).counts
+            counts = multiplicity_profile(n, 3).multiplicities
             for i in range(1, n - 1):
                 assert counts[i - 1] >= (n - i) // 2
 
@@ -209,4 +209,4 @@ def test_criterion_10_property_suites():
                 for p in iter_partitions(n, l):
                     for i in range(1, p.largest_part + 1):
                         counts[i - 1] += p.multiplicity(i)
-                assert multiplicity_profile(n, l).counts == tuple(counts)
+                assert multiplicity_profile(n, l) == Partition(counts)

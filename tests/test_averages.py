@@ -5,11 +5,13 @@ import pytest
 
 from partpoly import (
     DomainError,
+    Partition,
     avg,
     avg2_closed_form,
     avg3_lower_bound,
     avg_table,
     check_conjecture,
+    count_partitions,
     harmonic,
     integral,
     iter_partitions,
@@ -18,11 +20,8 @@ from partpoly import (
 
 
 def _profile_by_enumeration(n, length):
-    counts = [0] * n
-    for p in iter_partitions(n, length):
-        for i in range(1, p.largest_part + 1):
-            counts[i - 1] += p.multiplicity(i)
-    return tuple(counts)
+    # the ⊕-sum of every partition of n into `length` parts
+    return sum(iter_partitions(n, length), Partition())
 
 
 def _avg_by_enumeration(n, length):
@@ -31,26 +30,27 @@ def _avg_by_enumeration(n, length):
 
 
 def test_profile_examples():
-    assert multiplicity_profile(5, 2).counts == (1, 1, 1, 1, 0)
-    assert multiplicity_profile(4, 2).counts == (1, 2, 1, 0)
+    assert multiplicity_profile(5, 2) == Partition([1, 1, 1, 1])
+    assert multiplicity_profile(4, 2) == Partition([1, 2, 1])
     for n in (3, 7, 12):
-        expected = tuple([0] * (n - 1) + [1])
-        assert multiplicity_profile(n, 1).counts == expected
+        assert multiplicity_profile(n, 1) == Partition.from_parts([n])
 
 
 def test_profile_sum_identities():
+    # the combined partition of the p(n, ℓ) partitions of n into ℓ parts
     for n in range(1, 21):
         for l in range(1, n + 1):
-            prof = multiplicity_profile(n, l)
-            p_nl = prof.num_partitions
-            assert sum(prof.counts) == l * p_nl
-            assert sum(i * c for i, c in enumerate(prof.counts, start=1)) == n * p_nl
+            combined = multiplicity_profile(n, l)
+            p_nl = count_partitions(n, l)
+            assert combined.length == l * p_nl
+            assert combined.size == n * p_nl
+            assert combined.largest_part == n - l + 1
 
 
 def test_profile_matches_enumeration():
     for n in range(1, 21):
         for l in range(1, n + 1):
-            assert multiplicity_profile(n, l).counts == _profile_by_enumeration(n, l)
+            assert multiplicity_profile(n, l) == _profile_by_enumeration(n, l)
 
 
 def test_profile_domain():
@@ -149,6 +149,6 @@ def test_avg3_ge_avg2_desk_scale():
 
 def test_part_count_lower_bound_for_three_parts():
     for n in range(6, 61):
-        counts = multiplicity_profile(n, 3).counts
+        counts = multiplicity_profile(n, 3).multiplicities
         for i in range(1, n - 1):
             assert counts[i - 1] >= (n - i) // 2

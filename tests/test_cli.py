@@ -36,7 +36,7 @@ from partpoly.cli import (
     build_parser,
     run,
 )
-from partpoly.density import last_error_bound
+from partpoly.density import plan
 
 
 def _run(argv):
@@ -450,7 +450,7 @@ def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     monkeypatch.setattr("partpoly.cli.integral", lambda p: Fraction(1, 2))
     monkeypatch.setattr("partpoly.cli.derivative_values", lambda p, x: [0])
     monkeypatch.setattr("partpoly.cli.diff", lambda coeffs, d: ())
-    monkeypatch.setattr("partpoly.cli._derivatives", lambda p: iter([()]))
+    monkeypatch.setattr("partpoly.cli.derivatives", lambda p: iter([()]))
     start = time.perf_counter()
     status, text = _run(argv)
     assert time.perf_counter() - start < 1
@@ -541,7 +541,7 @@ def test_largest_printable_density_runs(capsys, monkeypatch):
     monkeypatch.setattr("partpoly.cli.approximate", lambda c, eps: small)
     for stop, expected in ((r, 0), (r + 1, 1)):
         epsilon = (b - a) / 2 ** (stop - 1)
-        assert last_error_bound(Fraction(1, 3), epsilon) == (b - a) / 2 ** stop
+        assert plan(Fraction(1, 3), epsilon) == (small.start_index, stop)
         status, _ = _run(["density", "--target", "1/3", "--epsilon", format_rational(epsilon)])
         assert status == expected
     assert capsys.readouterr().err.count("\n") == 1

@@ -13,7 +13,7 @@ from partpoly import (
     integral,
     is_nontrivial,
 )
-from partpoly.density import _bracket_index, alpha_integral, beta_integral, last_error_bound
+from partpoly.density import _bracket_index, alpha_integral, beta_integral, plan
 
 
 def test_alpha_examples():
@@ -110,11 +110,11 @@ def test_last_error_bound_is_the_last_steps_bound():
     for c in (Fraction(1, 3), Fraction(49, 100), Fraction(3, 8), c5, Fraction(1, 10 ** 9)):
         for eps in (Fraction(1), b - a, Fraction(1, 10 ** 6), Fraction(1, 2 ** 40)):
             trace = approximate(c, eps)
-            assert last_error_bound(c, eps) == trace.steps[-1].error_bound
+            assert plan(c, eps) == (trace.start_index, len(trace.steps))
     trace = approximate(c5, Fraction(1, 2 ** 40))
     assert len(trace.steps) == 5 and trace.achieved_error == 0
     with pytest.raises(DomainError):
-        last_error_bound(Fraction(1, 2), Fraction(1, 100))
+        plan(Fraction(1, 2), Fraction(1, 100))
 
 
 def test_approximate_domain_errors():

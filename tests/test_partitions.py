@@ -7,7 +7,6 @@ from partpoly import (
     Partition,
     count_partitions,
     iter_partitions,
-    stats,
 )
 
 part_lists = st.lists(st.integers(min_value=1, max_value=9), max_size=8)
@@ -42,12 +41,12 @@ def test_canonical_trims_trailing_zeros():
 
 
 def test_stats_examples():
-    st1 = stats(Partition.from_parts([5, 2, 2, 1]))
-    assert (st1.length, st1.size, st1.largest_part) == (4, 10, 5)
-    st2 = stats(Partition())
-    assert (st2.length, st2.size, st2.largest_part) == (0, 0, 0)
-    st3 = stats(Partition.from_parts([4, 3, 3, 3, 1]))
-    assert (st3.length, st3.size, st3.largest_part) == (5, 14, 4)
+    for p, expected in (
+        (Partition.from_parts([5, 2, 2, 1]), (4, 10, 5)),
+        (Partition(), (0, 0, 0)),
+        (Partition.from_parts([4, 3, 3, 3, 1]), (5, 14, 4)),
+    ):
+        assert (p.length, p.size, p.largest_part) == expected
 
 
 def test_norm_examples():

@@ -1,4 +1,4 @@
-"""The six result records are named tuples: fixed fields, the keyword repr
+"""The four result records are named tuples: fixed fields, the keyword repr
 they had as frozen dataclasses, immutable, and equal and hashed by value."""
 
 from fractions import Fraction
@@ -10,21 +10,9 @@ from partpoly import (
     approximate,
     avg_table,
     collision_search,
-    multiplicity_profile,
-    stats,
 )
 
 REPRS = [
-    (
-        lambda: stats(Partition.from_parts([5, 2, 2, 1])),
-        ("length", "size", "largest_part"),
-        "PartitionStats(length=4, size=10, largest_part=5)",
-    ),
-    (
-        lambda: multiplicity_profile(5, 2),
-        ("n", "length", "counts"),
-        "MultiplicityProfile(n=5, length=2, counts=(1, 1, 1, 1, 0))",
-    ),
     (
         lambda: avg_table(3),
         ("n", "values", "monotone", "first_violation"),
@@ -71,7 +59,6 @@ def test_record_is_a_value(make, fields, text):
 
 
 def test_record_properties():
-    assert multiplicity_profile(5, 2).num_partitions == 2
     trace = approximate(Fraction(1, 3), Fraction(1, 4))
     assert trace.steps[0].partition == Partition([4, 0, 0, 4])  # α(4) ⊕ β(4)
     assert trace.result == trace.steps[-1].partition

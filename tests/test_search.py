@@ -73,17 +73,22 @@ def test_distinguishing_order_matches_padded_profiles(a, b, equal):
     assert distinguishing_order(lam, mu) == _first_padded_profile_difference(lam, mu)
 
 
-def test_ideal_pte_pair_first_differs_at_order_5():
+@pytest.mark.parametrize("n, first, second", [
     # {0,4,8,16,17} / {1,2,10,14,18}, an ideal Prouhet–Tarry–Escott pair of
-    # degree 4 (Borwein & Ingalls 1994), shifted by 1: equal power sums
-    # Σ a^j for j <= 4, so equal f^(0..4)(1), and the only such pair of n = 50
-    xs, ys = [1, 5, 9, 17, 18], [2, 3, 11, 15, 19]
-    power_sums = [sum(x ** j for x in xs) - sum(y ** j for y in ys) for j in range(6)]
+    # degree 4 (Borwein & Ingalls 1994), shifted by 1
+    (50, [19, 15, 11, 3, 2], [18, 17, 9, 5, 1]),
+    (36, [11, 7, 7, 7, 2, 2], [10, 10, 5, 5, 5, 1]),
+    (35, [9, 7, 7, 6, 2, 2, 2], [8, 8, 8, 4, 3, 3, 1]),
+])
+def test_pte_pair_is_the_only_order_4_collision(n, first, second):
+    # equal power sums Σ a^j for j <= 4, so equal f^(0..4)(1): the only such
+    # pair of n into len(first) parts
+    power_sums = [sum(x ** j for x in first) - sum(y ** j for y in second) for j in range(6)]
     assert power_sums[:5] == [0] * 5 and power_sums[5]
-    a, b = Partition.from_parts(xs), Partition.from_parts(ys)
+    a, b = Partition.from_parts(first), Partition.from_parts(second)
     assert distinguishing_order(a, b) == 5
-    report = collision_search(50, 5, 4)
-    assert report.groups == ((b, a),)
+    report = collision_search(n, len(first), 4)
+    assert report.groups == ((a, b),)
     assert report.keys == (tuple(derivative_profile(a, 4)),)
 
 
