@@ -3,10 +3,11 @@
 Avg(n, ℓ) is the mean of ∫₀¹ f̂_λ over partitions of n into ℓ parts.  It
 equals the integral of the single combined partition, the ⊕-sum of all of
 them, which multiplicity_profile builds without enumeration: the number of
-parts of size i across all partitions of n into ℓ parts is
-Σ_{j≥1} p(n − j·i, ℓ − j).  The combined partition has length ℓ·p(n, ℓ),
-size n·p(n, ℓ) and largest part n − ℓ + 1.  Enumeration is kept as the
-oracle at small n in the tests.
+parts of size i across all partitions of n into ℓ parts is Σ_j p(n − j·i,
+ℓ − j) over the count-triangle cells 0 <= ℓ − j <= n − j·i only: i = 1..n − ℓ + 1
+and j = 1..min(ℓ, ⌊(n − ℓ)/(i − 1)⌋), or j = 1..ℓ at i = 1.  The combined
+partition has length ℓ·p(n, ℓ), size n·p(n, ℓ) and largest part n − ℓ + 1.
+Enumeration is kept as the oracle at small n in the tests.
 
 The even-n closed form for Avg(n, 2) here carries the correction term
 2/(n+2): the duplicated part n/2 in the combined partition contributes
@@ -40,12 +41,11 @@ def multiplicity_profile(n, length, table=None):
     table = table or CountTable()
     table.ensure(n)
     counts = []
-    for i in range(1, n + 1):
+    for i in range(1, n - length + 2):
+        top = min(length, (n - length) // (i - 1)) if i > 1 else length
         c = 0
-        j = 1
-        while j * i <= n and j <= length:
+        for j in range(1, top + 1):
             c += table.count(n - j * i, length - j)
-            j += 1
         counts.append(c)
     return Partition(counts)
 

@@ -49,8 +49,8 @@ MAX_COUNT_STEPS = 10 ** 7
 
 # `avg`, `avg-table` and `conjecture` fill the CountTable triangle, (n+1)(n+2)/2
 # ints of about 36 bytes: `avg --n 3000` fills 4.5·10^6 cells in 1.3 s and
-# 160 MB.  `avg-table` then builds n profiles and integrals (n = 1000 takes
-# 4 s), and `conjecture` runs it for every n up to its bound (200 takes 5 s).
+# 160 MB.  `avg-table` then builds n profiles and integrals (n = 1000: 2.1–2.6 s),
+# and `conjecture` runs it for every n up to its bound (200: 3–4 s).
 MAX_TABLE_CELLS = 5 * 10 ** 6
 MAX_AVG_TABLE_N = 1000
 MAX_CONJECTURE_N = 200
@@ -97,9 +97,20 @@ def _int_in(low, high=None):
 
 
 def _refuse_over(value, limit, message):
-    """Refuse a call whose size estimate passes its limit, before any work."""
+    """Refuse a call whose size estimate passes its limit, before any work; an
+    estimate too long to print shows as the power of 2 at or below it."""
     if value > limit:
+        if value >= 10 ** MAX_DECIMAL_DIGITS:
+            value = f"2^{value.bit_length() - 1}"
         raise DomainError(f"{message.format(value)}; the limit is {limit}")
+
+
+def _refuse_unprintable(values):
+    """Refuse exact values before any is formatted if one has a numerator or
+    denominator of more than MAX_DECIMAL_DIGITS digits."""
+    bound = 10 ** MAX_DECIMAL_DIGITS
+    if any(abs(v.numerator) >= bound or v.denominator >= bound for v in values):
+        raise DomainError(f"a result would pass {MAX_DECIMAL_DIGITS} digits")
 
 
 def _refuse_all_orders(p):
@@ -187,17 +198,15 @@ def _cmd_derivatives(args):
     if bits <= MAX_VALUE_BITS and base ** degree >= 10 ** MAX_DECIMAL_DIGITS:
         bits = (base ** degree).bit_length()  # > MAX_VALUE_BITS, as 2^14285 > 10^4300
     _refuse_over(bits, MAX_VALUE_BITS, "the value at --at would have about {} bits")
-    if d is None:
-        values = enumerate(derivative_values(p, x))
-    else:
-        values = [(d, evaluate(diff(poly_of(p), d), x))]
+    values = derivative_values(p, x) if d is None else [evaluate(diff(poly_of(p), d), x)]
+    _refuse_unprintable(values)
     rows = [
         {
             "order": d,
             "value": format_rational(value),
             "decimal": rational_to_decimal(value, args.decimal_digits),
         }
-        for d, value in values
+        for d, value in enumerate(values, d or 0)
     ]
     doc = {"partition": p.to_json(), "at": format_rational(x), "values": rows}
     return rows, doc, None
@@ -209,9 +218,9 @@ def _cmd_derived_seq(args):
     rows, seq = [], []
     for d, q in enumerate(derivatives(p)):
         dp = Partition(q[1:])  # derived_partition(p, d)
-        rows.append(
-            {"order": d, "partition": str(dp), "length": str(dp.length), "size": str(dp.size)}
-        )
+        length, size = dp.length, dp.size
+        _refuse_unprintable([size])  # size >= length; each m_i < 10^4300 already
+        rows.append({"order": d, "partition": str(dp), "length": str(length), "size": str(size)})
         seq.append(dict(rows[-1], partition=dp.to_json()))
     return rows, {"partition": p.to_json(), "sequence": seq}, None
 
@@ -219,6 +228,7 @@ def _cmd_derived_seq(args):
 def _cmd_integral(args):
     p = _partition(args)
     value = integral(p)
+    _refuse_unprintable([value])
     row = {
         "integral": format_rational(value),
         "decimal": rational_to_decimal(value, args.decimal_digits),
@@ -462,12 +472,7 @@ def run(argv=None, out=None):
         _emit(rows, doc, args.format, out)
         if trailer is not None and args.format != "json":
             out.write(trailer + "\n")
-    except ValueError as exc:
-        # DomainError is a ValueError.  The catch is wider than DomainError
-        # on purpose: exact output too large to print (a rational or count
-        # past 4300 digits) fails fast only through Python's int -> str limit,
-        # which raises a plain ValueError: `integral --mults` with 10,000 ones
-        # has a denominator near lcm(2..10001), past 4300 digits.
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

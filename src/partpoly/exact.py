@@ -86,9 +86,10 @@ _RATIONAL_WITH_POWERS = re.compile(rf"([+-]?){_POWER_TERM}(?:/{_POWER_TERM})?")
 
 
 def _power(base, exp):
-    if exp is None:
-        return int(base)
-    base, exp = int(base), int(exp)
+    try:
+        base, exp = int(base), int(exp or 1)
+    except ValueError:  # a digit string past Python's int <-> str limit
+        raise DomainError("not a rational: a number has too many digits") from None
     if (base.bit_length() - 1) * exp > MAX_POWER_BITS:
         raise DomainError(f"{base}^{exp} exceeds {MAX_POWER_BITS} bits")
     return base ** exp

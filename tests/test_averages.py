@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from partpoly import (
+    CountTable,
     DomainError,
     Partition,
     avg,
@@ -51,6 +52,23 @@ def test_profile_matches_enumeration():
     for n in range(1, 21):
         for l in range(1, n + 1):
             assert multiplicity_profile(n, l) == _profile_by_enumeration(n, l)
+
+
+class _TriangleOnlyTable(CountTable):
+    """A CountTable that fails on any read outside 0 <= length <= n."""
+
+    def count(self, n, length=None):
+        assert length is not None and 0 <= length <= n, (n, length)
+        return super().count(n, length)
+
+
+def test_profile_reads_only_triangle_cells():
+    table = _TriangleOnlyTable()
+    for n in range(1, 41):
+        for l in range(1, n + 1):
+            combined = multiplicity_profile(n, l, table)
+            if n <= 20:
+                assert combined == _profile_by_enumeration(n, l)
 
 
 def test_profile_domain():

@@ -24,6 +24,7 @@ from partpoly import (
     iter_partitions,
 )
 from partpoly.cli import (
+    COMMANDS,
     MAX_AVG_TABLE_N,
     MAX_COLLIDE_STEPS,
     MAX_CONJECTURE_N,
@@ -410,6 +411,10 @@ def test_print_limits_match_python_int_str_limit():
     assert len(str(2 ** MAX_VALUE_BITS)) <= MAX_DECIMAL_DIGITS
 
 
+# 10^4300 − 1, the largest integer Python prints by default
+NINES = "9" * MAX_DECIMAL_DIGITS
+
+
 @pytest.mark.parametrize("argv, limit", [
     (["integral", "--parts", "1000000"], None),
     (["integral", "--parts", "2,1000001"], MAX_LARGEST_PART),
@@ -444,6 +449,11 @@ def test_print_limits_match_python_int_str_limit():
      MAX_DECIMAL_DIGITS),
     # a zero m_i counts as 1, so the check ends by i = 1559 under any largest part
     (["derived-seq", "--parts", "1,1000000"], MAX_DECIMAL_DIGITS),
+    # an estimate past the print limit is shown as a power of 2
+    (["count", "--n", NINES], MAX_COUNT_STEPS),
+    (["avg", "--n", NINES, "--length", "2"], MAX_TABLE_CELLS),
+    (["collide", "--n", NINES, "--length", "2", "--order", "1"], MAX_COLLIDE_STEPS),
+    (["stats", "--mults", "1," + NINES], MAX_VALUE_BITS),
 ])
 def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     # the work after each check is stubbed so that the check alone is timed
@@ -494,12 +504,29 @@ def test_largest_value_at_one_third_prints():
 
 
 def test_unprintable_integral_exits_1(capsys):
-    # ⟨1, 2, ..., 10000⟩: (H_10001 − 1)/10000 has a denominator past 4300 digits,
-    # which only Python's int -> str limit refuses
+    # ⟨1, 2, ..., 10000⟩: (H_10001 − 1)/10000 has a denominator past 4300 digits
     status, text = _run(["integral", "--mults", ",".join(["1"] * 10000)])
     err = capsys.readouterr().err
     assert status == 1 and text == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "4300" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["derivatives", "--order", "1", "--mults", "1," + NINES],  # f'(1) = 1 + 2·m_2
+    ["derivatives", "--order", "0", "--at", "1/2", "--mults", f"{NINES},{NINES}"],
+    # each i!·m_i prints, but f(1) = m_1 + m_2 and λ^(0)'s length do not
+    ["derivatives", "--mults", f"{NINES},{10 ** 4299}"],
+    ["derived-seq", "--mults", f"{NINES},{10 ** 4299}"],
+])
+def test_unprintable_value_exits_1(argv, capsys):
+    start = time.perf_counter()
+    status, text = _run(argv)
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert status == 1 and text == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(MAX_DECIMAL_DIGITS) in err
 
 
 @pytest.mark.parametrize("epsilon", ["1/10^5000", "1/10^30000"])
@@ -737,6 +764,16 @@ def test_one_subcommand_parser_changes_no_output(args):
         assert got == PINNED_ARGV[args]
     else:  # argparse words help and errors per version: compare the full parser
         assert got == _cli_digests(args, full_parser=True)
+
+
+def test_stray_value_error_propagates(monkeypatch):
+    # run() turns only DomainError into exit 1; any other ValueError is a bug
+    def handler(args):
+        raise ValueError("stray")
+
+    monkeypatch.setitem(COMMANDS, "count", (handler,) + COMMANDS["count"][1:])
+    with pytest.raises(ValueError, match="stray"):
+        _run(["count", "--n", "1"])
 
 
 def test_domain_error_exits_1(capsys):

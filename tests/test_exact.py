@@ -124,7 +124,9 @@ def test_parse_rational_integer_powers():
     assert parse_rational("+1/2^2") == Fraction(1, 4)
     assert parse_rational("0^0/5") == Fraction(1, 5)
     assert parse_rational("1/10^1000") == Fraction(1, 10 ** 1000)
-    for bad in ("2^-1", "^3", "1/2^", "2^^3", "1/0^3", "10^3.5", "(2^3)", "1/2/3"):
+    long = "9" * 5000  # past Python's int <-> str limit, in a base or an exponent
+    for bad in ("2^-1", "^3", "1/2^", "2^^3", "1/0^3", "10^3.5", "(2^3)", "1/2/3",
+                f"{long}^2", f"1/2^{long}", f"{long}/3^2"):
         with pytest.raises(DomainError, match="not a rational"):
             parse_rational(bad)
 
