@@ -105,12 +105,19 @@ def _refuse_over(value, limit, message):
         raise DomainError(f"{message.format(value)}; the limit is {limit}")
 
 
-def _refuse_unprintable(values):
+def _refuse_unprintable(values, what="a result"):
     """Refuse exact values before any is formatted if one has a numerator or
     denominator of more than MAX_DECIMAL_DIGITS digits."""
     bound = 10 ** MAX_DECIMAL_DIGITS
     if any(abs(v.numerator) >= bound or v.denominator >= bound for v in values):
-        raise DomainError(f"a result would pass {MAX_DECIMAL_DIGITS} digits")
+        raise DomainError(f"{what} would pass {MAX_DECIMAL_DIGITS} digits")
+
+
+def _rational(text, flag):
+    """Parse a rational option; the output prints it back, so it must print."""
+    q = parse_rational(text)
+    _refuse_unprintable([q], flag)
+    return q
 
 
 def _refuse_all_orders(p):
@@ -186,7 +193,7 @@ def _cmd_poly(args):
 
 def _cmd_derivatives(args):
     p = _partition(args)
-    x = parse_rational(args.at)
+    x = _rational(args.at, "--at")
     k, d = p.largest_part, args.order
     if d is None:
         _refuse_all_orders(p)
@@ -306,7 +313,7 @@ def _step_summary(step):
 
 
 def _cmd_density(args):
-    c, epsilon = parse_rational(args.target), parse_rational(args.epsilon)
+    c, epsilon = _rational(args.target, "--target"), _rational(args.epsilon, "--epsilon")
     # Every rational printed past the inputs, up to the last error bound and
     # achieved_error = |a + (b − a)·v/2^r − c|, has a denominator dividing
     # lcm(den(a), den(c), den(bound)): refuse one past the print limit before

@@ -454,6 +454,9 @@ NINES = "9" * MAX_DECIMAL_DIGITS
     (["avg", "--n", NINES, "--length", "2"], MAX_TABLE_CELLS),
     (["collide", "--n", NINES, "--length", "2", "--order", "1"], MAX_COLLIDE_STEPS),
     (["stats", "--mults", "1," + NINES], MAX_VALUE_BITS),
+    # the value 0 prints, but --at itself is printed back (see --at 1/10^3000 above)
+    (["derivatives", "--parts", "300", "--order", "301", "--at", "1/10^5000"], MAX_DECIMAL_DIGITS),
+    (["derivatives", "--parts", "300", "--order", "301", "--at", "1e-5000"], MAX_DECIMAL_DIGITS),
 ])
 def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     # the work after each check is stubbed so that the check alone is timed
@@ -529,7 +532,8 @@ def test_unprintable_value_exits_1(argv, capsys):
     assert str(MAX_DECIMAL_DIGITS) in err
 
 
-@pytest.mark.parametrize("epsilon", ["1/10^5000", "1/10^30000"])
+# the last two stop at step 1, but the output prints epsilon back
+@pytest.mark.parametrize("epsilon", ["1/10^5000", "1/10^30000", "2^20000/3^9100", "1e5000"])
 def test_unprintable_density_exits_1_at_once(epsilon, capsys):
     start = time.perf_counter()
     status, text = _run(["density", "--target", "1/3", "--epsilon", epsilon])
