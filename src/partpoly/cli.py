@@ -55,13 +55,12 @@ MAX_TABLE_CELLS = 5 * 10 ** 6
 MAX_AVG_TABLE_N = 1000
 MAX_CONJECTURE_N = 200
 
-# `collide --order d` profiles each of the p(n, ℓ) partitions in about
-# (min(d, k) + 1)·k Fraction steps, k <= n − ℓ + 1 its largest part, so it
-# refuses past p(n, ℓ)·(min(d, n − ℓ + 1) + 1)·(n − ℓ + 1) steps: `collide --n 60
-# --length 5 --order 3` is 1.18·10^6 steps and takes 2.5 s.  Every allowed call
-# ends in under 10 s; the slowest steps are the longest parts' and biggest values':
-# ℓ = 1 at n = 1,413 with d >= k (values up to 1413!) takes 7.0 s, ℓ = 1 at
-# n = 10^6 with d = 1 8.1 s, ℓ = 2 at n = 1,155 with d = 2 6.8 s.
+# `collide --order d` keys each of the p(n, ℓ) partitions on orders 2..min(d, k) in
+# about (min(d, k) − 1)·k Fraction steps, k <= n − ℓ + 1 its largest part.  Its
+# refusal past p(n, ℓ)·(min(d, n − ℓ + 1) + 1)·(n − ℓ + 1) steps is conservative:
+# `collide --n 60 --length 5 --order 3` is 1.18·10^6 steps and takes 1.3 s.  The
+# slowest allowed calls: ℓ = 1 at n = 1,413 with d >= k (values up to 1413!) 6–7 s,
+# ℓ = 2 at n = 1,155 with d = 2 1.9 s, ℓ = 1 at n = 10^6 with d = 1 0.3 s.
 MAX_COLLIDE_STEPS = 2 * 10 ** 6
 
 # `count` up to this n reads the CountTable triangle that `avg` reads (5,151

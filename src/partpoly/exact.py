@@ -97,7 +97,9 @@ def _power(base, exp):
 
 def parse_rational(s):
     """Parse "num/den" or "num" into a Fraction; num and den may also be
-    integer powers such as 10^30, so "1/10^30" is accepted."""
+    integer powers such as 10^30, so "1/10^30" is accepted, and 1e-30 too."""
+    for exponent in re.findall(r"[eE][+-]?(\d+(?:_\d+)*)", s):
+        _power(10, exponent)  # refused as the ^ form is: Fraction(s) builds 10^|e| uncapped
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -146,19 +146,21 @@ class Partition:
         return f"Partition({self})"
 
 
-def _descend(mults, n, max_part, length):
-    # Add parts of at most max_part summing to n to the multiplicity list
-    # `mults` in place, largest first, exactly `length` of them unless it is
-    # None; yield each completed partition, then undo the additions.
-    if n == 0 and not length:
-        yield Partition(mults)
-    elif length is None or 0 < length <= n:
-        # the first part is the largest, so at least ceil(n / length)
-        low = -(-n // length) if length else 1
-        for part in range(min(max_part, n - (length or 1) + 1), low - 1, -1):
-            mults[part - 1] += 1
-            yield from _descend(mults, n - part, part, length and length - 1)
-            mults[part - 1] -= 1
+def _descend(mults, n, top, length):
+    # Fill `mults` in place, one level per part size s >= ceil(n / length), largest
+    # first, set to m copies, high to low, for only the m whose rest the sizes below
+    # s complete: length − m <= n − m·s <= (length − m)(s − 1), or m = n at s = 1.
+    if n == 0:
+        if not length:
+            yield Partition(mults)
+        return
+    for s in range(min(top, n - (length or 1) + 1), -(-n // (length or n)) - 1, -1):
+        low = n if s == 1 else 1 if length is None else max(1, n - length * (s - 1))
+        high = n // s if s == 1 or length is None else min(length, (n - length) // (s - 1))
+        for m in range(high, low - 1, -1):
+            mults[s - 1] = m
+            yield from _descend(mults, n - m * s, s - 1, length and length - m)
+        mults[s - 1] = 0
 
 
 def iter_partitions(n, length=None):
@@ -168,7 +170,7 @@ def iter_partitions(n, length=None):
         raise DomainError("n must be nonnegative")
     if length is not None and length < 1:
         raise DomainError("length must be positive")
-    return _descend([0] * n, n, n, length)
+    return _descend([0] * (n - (length or 1) + 1), n, n, length)  # parts <= n − ℓ + 1
 
 
 class CountTable:

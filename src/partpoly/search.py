@@ -2,14 +2,15 @@
 
 Unequal partitions of the same size and length can share the values of the
 first several derivatives of their partition polynomials at x = 1.  This
-module finds such collisions by grouping partitions on exact big-integer
-profile prefixes, and reports the smallest derivative order that separates
-a given pair (none separates only equal partitions).
+module groups partitions on the exact f''(1), ..., f^(d)(1), the orders that can
+differ, keys each group by its whole prefix f^(0..d)(1), and finds the first order
+that separates a given pair (none separates only equal partitions).
 """
 
 from collections import namedtuple
+from itertools import islice
 
-from .calculus import derivative_profile
+from .calculus import derivative_profile, derivatives, evaluate
 from .errors import DomainError
 from .partitions import iter_partitions
 
@@ -42,19 +43,19 @@ class CollisionReport(namedtuple("CollisionReport", "n length order groups keys"
 def collision_search(n, length, order):
     """Group all partitions of n into `length` parts by the exact profile
     prefix [f^(0)(1), ..., f^(order)(1)] and report every group of two or
-    more.  Groups and their members follow enumeration order."""
+    more, keyed by that prefix.  Groups and members follow enumeration order."""
     if not 1 <= length <= n:
         raise DomainError("need 1 <= length <= n")
     if order < 1:
         raise DomainError("need order >= 1")
     buckets = {}
     for p in iter_partitions(n, length):
-        # f^(d)(1) > 0 up to the largest part and 0 beyond it, so the
-        # unpadded prefix groups exactly as the zero-padded one would.
-        key = tuple(derivative_profile(p, order))
+        # f(1) = length and f'(1) = n for all, so the key skips them; f^(d)(1) > 0
+        # up to the largest part and 0 past it, so it need not be zero-padded.
+        key = tuple(int(evaluate(q, 1)) for q in islice(derivatives(p, order), 2, None))
         buckets.setdefault(key, []).append(p)
-    keys = tuple(k for k, g in buckets.items() if len(g) >= 2)
-    groups = tuple(tuple(buckets[k]) for k in keys)
+    groups = tuple(tuple(g) for g in buckets.values() if len(g) >= 2)
+    keys = tuple(tuple(derivative_profile(g[0], order)) for g in groups)
     return CollisionReport(n, length, order, groups, keys)
 
 

@@ -38,6 +38,7 @@ from partpoly.cli import (
     run,
 )
 from partpoly.density import plan
+from partpoly.exact import MAX_POWER_BITS
 
 
 def _run(argv):
@@ -457,6 +458,8 @@ NINES = "9" * MAX_DECIMAL_DIGITS
     # the value 0 prints, but --at itself is printed back (see --at 1/10^3000 above)
     (["derivatives", "--parts", "300", "--order", "301", "--at", "1/10^5000"], MAX_DECIMAL_DIGITS),
     (["derivatives", "--parts", "300", "--order", "301", "--at", "1e-5000"], MAX_DECIMAL_DIGITS),
+    # an exponent is capped as 10^|e| is, before Fraction builds the power
+    (["derivatives", "--parts", "3", "--at", "1e-9999999"], MAX_POWER_BITS),
 ])
 def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     # the work after each check is stubbed so that the check alone is timed
@@ -638,19 +641,59 @@ def test_avg_p_n_l_matches_enumeration():
             assert json.loads(text)["p_n_l"] == str(totals[l])
 
 
-def test_collide_profiles_each_partition_once(monkeypatch):
-    calls = []
-    profile = partpoly.search.derivative_profile
+@pytest.mark.parametrize("n, length, order", [(12, 3, 2), (18, 4, 3), (18, 4, 1)])
+def test_collide_keys_on_orders_2_to_d_and_profiles_each_group_once(n, length, order, monkeypatch):
+    # f(1) = ℓ and f'(1) = n for every candidate, so a key evaluates the tuples
+    # of orders 2..min(d, k) only: order j of largest part k has k + 1 − j entries
+    groups = collision_search(n, length, order).groups
+    assert groups  # the rows are not empty
+    evaluated, profiled = [], []
+    evaluate, profile = partpoly.search.evaluate, partpoly.search.derivative_profile
 
-    def spy(p, order=None):
-        calls.append(order)
+    def evaluate_spy(coeffs, x):
+        evaluated.append((len(coeffs), x))
+        return evaluate(coeffs, x)
+
+    def profile_spy(p, order=None):
+        profiled.append((p, order))
         return profile(p, order)
 
-    monkeypatch.setattr(partpoly.search, "derivative_profile", spy)
-    status, _ = _run(["collide", "--n", "12", "--length", "3", "--order", "2"])
+    monkeypatch.setattr(partpoly.search, "evaluate", evaluate_spy)
+    monkeypatch.setattr(partpoly.search, "derivative_profile", profile_spy)
+    status, _ = _run(["collide", "--n", str(n), "--length", str(length), "--order", str(order)])
     assert status == 0
-    assert calls == [2] * count_partitions(12, 3)  # each only through --order
-    assert collision_search(12, 3, 2).groups  # the rows were not empty
+    expected = [
+        (p.largest_part + 1 - j, 1)
+        for p in iter_partitions(n, length)
+        for j in range(2, min(order, p.largest_part) + 1)
+    ]
+    assert sorted(evaluated) == sorted(expected)
+    assert profiled == [(g[0], order) for g in groups]
+
+
+def test_collide_many_parts_runs():
+    # p(5) = 7 partitions, one part size per recursion level: no RecursionError
+    status, text = _run(["collide", "--n", "1500", "--length", "1495", "--order", "1"])
+    assert status == 0
+    assert text == (
+        "group  partition         profile_prefix\n"
+        "0      <1^1494,6^1>      1495,1500\n"
+        "0      <1^1493,2^1,5^1>  1495,1500\n"
+        "0      <1^1493,3^1,4^1>  1495,1500\n"
+        "0      <1^1492,2^2,4^1>  1495,1500\n"
+        "0      <1^1492,2^1,3^2>  1495,1500\n"
+        "0      <1^1491,2^3,3^1>  1495,1500\n"
+        "0      <1^1490,2^5>      1495,1500\n"
+    )
+
+
+def test_collide_all_ones_past_the_print_limit_runs():
+    # ℓ = n has one partition, ⟨1^n⟩: the multiplicity list holds n − ℓ + 1 = 1
+    # entry, not n
+    start = time.perf_counter()
+    status, text = _run(["collide", "--n", NINES, "--length", NINES, "--order", NINES])
+    assert time.perf_counter() - start < 1
+    assert status == 0 and text == "no collisions\n"
 
 
 def test_full_size_collide_golden():

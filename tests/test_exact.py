@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt
@@ -138,6 +139,20 @@ def test_parse_rational_refuses_oversized_powers():
             parse_rational(text)
     assert parse_rational("2^1048576") == 2 ** 1048576  # exactly at the cap
     assert parse_rational("1^999999999") == 1
+
+
+def test_parse_rational_caps_exponent_notation():
+    # Fraction("1e-9999999") alone computes for seconds; the cap on 10^e refuses first
+    for text in ("1e-9999999", "1E+349526", "2.5e-1_000_000", "1e-999999999999"):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"exceeds {exact.MAX_POWER_BITS} bits"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 1
+    with pytest.raises(DomainError, match="too many digits"):
+        parse_rational("1e" + "9" * 5000)
+    assert parse_rational("1e-300") == Fraction(1, 10 ** 300)
+    assert parse_rational("2.5E3") == 2500
+    assert parse_rational("1e-349525") == Fraction(1, 10 ** 349525)  # 3·349525 <= 2^20
 
 
 def test_rational_decimal():

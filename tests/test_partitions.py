@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import partpoly.partitions
+
 from partpoly import (
     CountTable,
     DomainError,
@@ -127,6 +129,55 @@ def test_enumerate_descending_lex_order():
 
 def test_enumerate_empty_stream_when_infeasible():
     assert list(iter_partitions(3, 5)) == []
+    assert list(iter_partitions(0, 1)) == []
+
+
+def _one_part_per_level(mults, n, max_part, length):
+    # The order oracle: add one part per level, largest first, exactly
+    # `length` parts unless None (recursion depth ℓ, so small n only).
+    if n == 0 and not length:
+        yield Partition(mults)
+    elif length is None or 0 < length <= n:
+        low = -(-n // length) if length else 1
+        for part in range(min(max_part, n - (length or 1) + 1), low - 1, -1):
+            mults[part - 1] += 1
+            yield from _one_part_per_level(mults, n - part, part, length and length - 1)
+            mults[part - 1] -= 1
+
+
+def test_enumerate_matches_one_part_per_level_order():
+    for n in range(26):
+        for length in [None, *range(1, n + 2)]:
+            expected = list(_one_part_per_level([0] * n, n, n, length))
+            assert list(iter_partitions(n, length)) == expected, (n, length)
+
+
+def test_enumerate_visits_no_dead_branch(monkeypatch):
+    # the multiplicity ranges are cut to rests the smaller sizes can complete,
+    # so every level entered yields a partition: work in proportion to output
+    descend, empty = partpoly.partitions._descend, []
+
+    def counted(*args):
+        yielded = False
+        for p in descend(*args):
+            yielded = True
+            yield p
+        if not yielded:
+            empty.append(args[1:])
+
+    monkeypatch.setattr(partpoly.partitions, "_descend", counted)
+    for n in range(1, 21):
+        for length in [None, *range(1, n + 1)]:
+            assert sum(1 for _ in iter_partitions(n, length)) == count_partitions(n, length)
+    assert empty == []
+
+
+def test_enumerate_many_parts_without_deep_recursion():
+    # one level per distinct part size: the depth stays under √(2n), not ℓ
+    listed = list(iter_partitions(3000, 2990))
+    assert len(listed) == count_partitions(10) == 42
+    assert listed[0].parts() == [11] + [1] * 2989
+    assert listed[-1].parts() == [2] * 10 + [1] * 2980
 
 
 def test_count_examples():

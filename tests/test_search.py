@@ -112,6 +112,19 @@ def test_collision_keys_are_profile_prefixes():
                 assert key == tuple(derivative_profile(p)[: order + 1])
 
 
+@pytest.mark.parametrize("order, n_max", [(1, 24), (2, 30), (3, 24)])
+def test_collision_groups_match_full_profile_grouping(order, n_max):
+    # the oracle groups on the whole prefix f^(0..d)(1), orders 0 and 1 included
+    for n in range(1, n_max + 1):
+        for length in range(1, n + 1):
+            buckets = {}
+            for p in iter_partitions(n, length):
+                buckets.setdefault(tuple(derivative_profile(p, order)), []).append(p)
+            expected = [(k, tuple(g)) for k, g in buckets.items() if len(g) >= 2]
+            report = collision_search(n, length, order)
+            assert list(zip(report.keys, report.groups)) == expected, (n, length)
+
+
 def test_collision_groups_consistent_with_orders():
     report = collision_search(12, 3, 2)
     for group in report.groups:
