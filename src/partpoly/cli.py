@@ -26,7 +26,9 @@ MAX_DECIMAL_DIGITS = 4300
 # A partition holds one multiplicity per part size 1..k, about 80 bytes of
 # memory and 11 of JSON apiece: `--parts` with a larger part, and `density
 # --full-partition` with a larger s (1/10^9 has s = 1,499,999,999), are refused
-# before the list is built.  `poly --parts 1000000` takes 7 s and 540 MB.
+# before the list is built.  `poly --parts 1000000` takes 7 s and 540 MB.  `integral` has
+# no cheap check before its print refusal; Linux's 128 KiB cap on one argument bounds it
+# (`--mults` with 60,000 ones: 3.5–4 s).
 MAX_LARGEST_PART = 10 ** 6
 
 # `derivatives --order d <= k` takes d·k steps for a largest part k: 0.9 s at

@@ -174,8 +174,8 @@ def iter_partitions(n, length=None):
 
 
 class CountTable:
-    """Memoized table of p(n, ℓ) via p(n, ℓ) = p(n−1, ℓ−1) + p(n−ℓ, ℓ),
-    filled iteratively up to the largest n requested."""
+    """Memoized table of p(n, ℓ) via p(n, ℓ) = p(n−1, ℓ−1) + p(n−ℓ, ℓ), filled
+    up to the largest n requested; count calls ensure only for a missing row."""
 
     def __init__(self):
         self._rows = [[1]]  # _rows[n][l] = p(n, l) for 0 <= l <= n
@@ -194,7 +194,8 @@ class CountTable:
         """p(n) or p(n, length)."""
         if n < 0:
             return 0
-        self.ensure(n)
+        if n >= len(self._rows):
+            self.ensure(n)
         if length is None:
             return sum(self._rows[n])
         if length < 0 or length > n:

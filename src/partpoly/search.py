@@ -8,9 +8,8 @@ that separates a given pair (none separates only equal partitions).
 """
 
 from collections import namedtuple
-from itertools import islice
 
-from .calculus import derivative_profile, derivatives, evaluate
+from .calculus import derivative_profile, diff, evaluate
 from .errors import DomainError
 from .partitions import iter_partitions
 
@@ -50,10 +49,12 @@ def collision_search(n, length, order):
         raise DomainError("need order >= 1")
     buckets = {}
     for p in iter_partitions(n, length):
-        # f(1) = length and f'(1) = n for all, so the key skips them; f^(d)(1) > 0
-        # up to the largest part and 0 past it, so it need not be zero-padded.
-        key = tuple(int(evaluate(q, 1)) for q in islice(derivatives(p, order), 2, None))
-        buckets.setdefault(key, []).append(p)
+        # f(1) = ℓ and f'(1) = n for all, so the key is f^(d)(1) > 0 for d = 2..min(order, k)
+        key, mults = [], p.multiplicities
+        for _ in range(min(order, len(mults)) - 1):
+            q = diff(q) if key else tuple([i * (i - 1) * m for i, m in enumerate(mults[1:], 2)])
+            key.append(int(evaluate(q, 1)))
+        buckets.setdefault(tuple(key), []).append(p)
     groups = tuple(tuple(g) for g in buckets.values() if len(g) >= 2)
     keys = tuple(tuple(derivative_profile(g[0], order)) for g in groups)
     return CollisionReport(n, length, order, groups, keys)

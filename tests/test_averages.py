@@ -71,6 +71,35 @@ def test_profile_reads_only_triangle_cells():
                 assert combined == _profile_by_enumeration(n, l)
 
 
+def test_profile_closed_forms_at_lengths_n_n1_n2():
+    # ⟨1ⁿ⟩, ⟨1^(n−2), 2⟩ and ⟨1^(n−3), 3⟩ ⊕ ⟨1^(n−4), 2²⟩: at these lengths the
+    # length and size totals fix the counts of parts 1 and 2 from those read
+    table = CountTable()
+    for n in range(1, 151):
+        assert multiplicity_profile(n, n, table) == Partition([n])
+        if n >= 2:
+            assert multiplicity_profile(n, n - 1, table) == Partition([n - 2, 1])
+        if n >= 4:
+            assert multiplicity_profile(n, n - 2, table) == Partition([2 * n - 7, 2, 1])
+
+
+class _CountingTable(CountTable):
+    reads = 0
+
+    def count(self, n, length=None):
+        _CountingTable.reads += 1
+        return super().count(n, length)
+
+
+def test_conjecture_scan_reads_only_part_sizes_from_3(monkeypatch):
+    # one read of p(n, ℓ) per profile, then j = 1..min(ℓ, ⌊(n − ℓ)/(i − 1)⌋) per
+    # i >= 3: 1,672,447 reads at n <= 150, where reading i = 1 and 2 made 2,518,972
+    monkeypatch.setattr("partpoly.averages.CountTable", _CountingTable)
+    monkeypatch.setattr(_CountingTable, "reads", 0)
+    check_conjecture(150)
+    assert _CountingTable.reads == 1_672_447
+
+
 def test_profile_domain():
     with pytest.raises(DomainError):
         multiplicity_profile(5, 6)

@@ -225,6 +225,25 @@ def test_count_matches_count_table():
             assert count_partitions(n, l) == table.count(n, l), (n, l)
 
 
+def test_count_fills_only_missing_rows():
+    filled = []
+
+    class Spy(CountTable):
+        def ensure(self, n_max):
+            filled.append(n_max)
+            super().ensure(n_max)
+
+    table = Spy()
+    table.ensure(30)
+    filled.clear()
+    for n in range(-1, 31):
+        table.count(n)
+        for l in range(-1, n + 2):
+            table.count(n, l)
+    assert filled == []
+    assert table.count(31, 2) == 15 and filled == [31]
+
+
 def test_count_matches_sympy():
     numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
     for n in list(range(300)) + [3000, 10000, 46000]:
