@@ -8,6 +8,7 @@ the independent oracle: the test suite asserts exact agreement between the
 two on every partition it touches.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError
@@ -23,17 +24,18 @@ def poly_of(partition):
 
 
 def diff(coeffs, order=1):
-    """Formal derivative of a coefficient tuple, iterated `order` times; an
-    order past the degree gives () without differentiating."""
+    """Formal derivative of order d = `order` of a coefficient tuple in one pass:
+    x^(i−d) gets c_i·i!/(i − d)!, a falling factorial updated by one multiply and
+    one exact divide per i.  An order past the degree gives () at once."""
     if order < 0:
         raise DomainError("derivative order must be nonnegative")
     if order >= len(coeffs):
         return ()
-    for _ in range(order):
-        # From a list: tuple() trims a generator's 10-slot tuple, and CPython's
-        # per-size free lists then held 4.4 MB more on `collide --n 60`.
-        coeffs = tuple([i * c for i, c in enumerate(coeffs[1:], start=1)])
-    return coeffs
+    falling, out = math.factorial(order), []  # i!/(i − d)! from i = d
+    for i, c in enumerate(coeffs[order:], order + 1):
+        out.append(c * falling)
+        falling = falling * i // (i - order)
+    return tuple(out)
 
 
 def evaluate(coeffs, x):

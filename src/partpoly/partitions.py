@@ -199,7 +199,7 @@ class CountTable:
         if length is None:
             return sum(self._rows[n])
         if length < 0 or length > n:
-            return 1 if (n == 0 and length == 0) else 0
+            return 0
         return self._rows[n][length]
 
 

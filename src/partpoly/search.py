@@ -3,13 +3,13 @@
 Unequal partitions of the same size and length can share the values of the
 first several derivatives of their partition polynomials at x = 1.  This
 module groups partitions on the exact f''(1), ..., f^(d)(1), the orders that can
-differ, keys each group by its whole prefix f^(0..d)(1), and finds the first order
-that separates a given pair (none separates only equal partitions).
+differ, reports each group's prefix f^(0..d)(1) as (ℓ, n) and that key, and finds
+the first order that separates a pair (none separates only equal partitions).
 """
 
 from collections import namedtuple
 
-from .calculus import derivative_profile, diff, evaluate
+from .calculus import diff, evaluate, poly_of
 from .errors import DomainError
 from .partitions import iter_partitions
 
@@ -50,14 +50,11 @@ def collision_search(n, length, order):
     buckets = {}
     for p in iter_partitions(n, length):
         # f(1) = ℓ and f'(1) = n for all, so the key is f^(d)(1) > 0 for d = 2..min(order, k)
-        key, mults = [], p.multiplicities
-        for _ in range(min(order, len(mults)) - 1):
-            q = diff(q) if key else tuple([i * (i - 1) * m for i, m in enumerate(mults[1:], 2)])
-            key.append(int(evaluate(q, 1)))
-        buckets.setdefault(tuple(key), []).append(p)
-    groups = tuple(tuple(g) for g in buckets.values() if len(g) >= 2)
-    keys = tuple(tuple(derivative_profile(g[0], order)) for g in groups)
-    return CollisionReport(n, length, order, groups, keys)
+        orders = range(2, min(order, p.largest_part) + 1)
+        key = tuple([int(evaluate(diff(poly_of(p), d), 1)) for d in orders])
+        buckets.setdefault(key, []).append(p)
+    found = {(length, n) + key: tuple(g) for key, g in buckets.items() if len(g) >= 2}
+    return CollisionReport(n, length, order, tuple(found.values()), tuple(found))
 
 
 def smallest_collision_size(length, order, n_max=200):

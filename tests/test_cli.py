@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import partpoly.calculus
 import partpoly.search
 from partpoly import (
     CollisionReport,
@@ -20,6 +21,7 @@ from partpoly import (
     approximate,
     collision_search,
     count_partitions,
+    deriv_recursive_eval,
     format_rational,
     iter_partitions,
 )
@@ -642,24 +644,24 @@ def test_avg_p_n_l_matches_enumeration():
 
 
 @pytest.mark.parametrize("n, length, order", [(12, 3, 2), (18, 4, 3), (18, 4, 1)])
-def test_collide_keys_on_orders_2_to_d_and_profiles_each_group_once(n, length, order, monkeypatch):
+def test_collide_keys_on_orders_2_to_d_and_reports_the_bucket_keys(n, length, order, monkeypatch):
     # f(1) = ℓ and f'(1) = n for every candidate, so a key evaluates the tuples
-    # of orders 2..min(d, k) only: order j of largest part k has k + 1 − j entries
-    groups = collision_search(n, length, order).groups
-    assert groups  # the rows are not empty
+    # of orders 2..min(d, k) only: order j of largest part k has k + 1 − j entries.
+    # A group is reported with (ℓ, n) and the key it was grouped on, unprofiled.
+    report = collision_search(n, length, order)
+    assert report.groups  # the rows are not empty
+    for key, group in zip(report.keys, report.groups, strict=True):
+        orders = range(2, min(order, group[0].largest_part) + 1)
+        assert key == (length, n) + tuple(deriv_recursive_eval(group[0], j, 1) for j in orders)
     evaluated, profiled = [], []
-    evaluate, profile = partpoly.search.evaluate, partpoly.search.derivative_profile
+    evaluate = partpoly.search.evaluate
 
     def evaluate_spy(coeffs, x):
         evaluated.append((len(coeffs), x))
         return evaluate(coeffs, x)
 
-    def profile_spy(p, order=None):
-        profiled.append((p, order))
-        return profile(p, order)
-
     monkeypatch.setattr(partpoly.search, "evaluate", evaluate_spy)
-    monkeypatch.setattr(partpoly.search, "derivative_profile", profile_spy)
+    monkeypatch.setattr(partpoly.calculus, "derivative_profile", lambda *a: profiled.append(a))
     status, _ = _run(["collide", "--n", str(n), "--length", str(length), "--order", str(order)])
     assert status == 0
     expected = [
@@ -668,7 +670,7 @@ def test_collide_keys_on_orders_2_to_d_and_profiles_each_group_once(n, length, o
         for j in range(2, min(order, p.largest_part) + 1)
     ]
     assert sorted(evaluated) == sorted(expected)
-    assert profiled == [(g[0], order) for g in groups]
+    assert profiled == []
 
 
 def test_collide_many_parts_runs():

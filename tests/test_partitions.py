@@ -225,6 +225,16 @@ def test_count_matches_count_table():
             assert count_partitions(n, l) == table.count(n, l), (n, l)
 
 
+def test_count_table_edges():
+    # (0, 0) is the filled cell _rows[0][0]; every other length outside 0..n is 0
+    table = CountTable()
+    assert table.count(0, 0) == 1
+    assert table.count(0, 1) == 0
+    assert table.count(7, -1) == 0
+    assert table.count(7, 8) == 0
+    assert table.count(-1) == 0
+
+
 def test_count_fills_only_missing_rows():
     filled = []
 
