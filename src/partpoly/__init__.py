@@ -3,7 +3,6 @@ averages over fixed size and length, and density constructions."""
 
 from .calculus import (
     deriv_recursive_eval,
-    derivative_profile,
     derivative_values,
     derived_partition,
     diff,
@@ -62,7 +61,6 @@ __all__ = [
     "collision_search",
     "count_partitions",
     "deriv_recursive_eval",
-    "derivative_profile",
     "derivative_values",
     "derived_partition",
     "diff",

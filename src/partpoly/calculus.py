@@ -1,11 +1,12 @@
 """Partition polynomials and their derivatives.
 
 A polynomial is its tuple of integer coefficients in degree-ascending order;
-poly_of and diff leave no trailing zero, so the zero polynomial is ().  Every
-derivative value comes from formal power-rule differentiation of that tuple,
-evaluated by Horner's rule.  The paper's Stirling-number recursion is kept as
-the independent oracle: the test suite asserts exact agreement between the
-two on every partition it touches.
+poly_of and diff leave no trailing zero, so the zero polynomial is ().  One
+derivative is the formal power-rule derivative of that tuple, evaluated by
+Horner's rule; all of them at once are one integer Taylor shift of the tuple,
+Horner's rule repeated.  The paper's Stirling-number recursion is kept as the
+independent oracle: the test suite asserts exact agreement between the two on
+every partition it touches.
 """
 
 import math
@@ -85,29 +86,19 @@ def deriv_recursive_eval(partition, d, x):
     return values[d]
 
 
-def derivatives(partition, order=None):
-    """Yield the tuples of f, f', ..., f^(min(order, k)), differentiating once
-    per order and never past the last one yielded."""
-    k = partition.largest_part
-    p = poly_of(partition)
-    for _ in range(k if order is None else min(order, k)):
-        yield p
-        p = diff(p)
-    yield p
-
-
 def derivative_values(partition, x):
-    """[f^(0)(x), f^(1)(x), ..., f^(k)(x)] at any rational x; 0 past k."""
-    return [evaluate(p, x) for p in derivatives(partition)]
-
-
-def derivative_profile(partition, order=None):
-    """The vector [f^(0)(1), f^(1)(1), ..., f^(min(order, k))(1)] of derivative
-    values at x = 1, all k + 1 when order is None; entry 0 is the length and
-    entry 1 the size."""
-    if order is not None and order < 0:
-        raise DomainError("derivative order must be nonnegative")
-    return [int(evaluate(p, 1)) for p in derivatives(partition, order)]
+    """[f^(0)(x), f^(1)(x), ..., f^(k)(x)] at a rational x = a/b (an int or a
+    Fraction) by one integer Taylor shift: h(y) = b^k·f(y/b) has the integer
+    coefficients c_i·b^(k−i), Horner's rule repeated k times turns them into
+    the coefficients H_d of h(y + a), and f^(d)(x) = d!·H_d / b^(k−d).  One
+    Fraction per value; [0] for the empty partition."""
+    a, b = x.numerator, x.denominator
+    h = [c * b ** i for i, c in enumerate(reversed(poly_of(partition) or (0,)))]
+    k = len(h) - 1
+    for top in range(k, 0, -1):  # h[0..k] ends as H_k, ..., H_0
+        for i in range(1, top + 1):
+            h[i] += a * h[i - 1]
+    return [Fraction(math.factorial(d) * h[k - d], b ** (k - d)) for d in range(k + 1)]
 
 
 def derived_partition(partition, d):

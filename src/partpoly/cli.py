@@ -11,7 +11,7 @@ import math
 import sys
 
 from .averages import avg, avg_table, check_conjecture
-from .calculus import derivative_values, derivatives, diff, evaluate, poly_of
+from .calculus import derivative_values, diff, evaluate, poly_of
 from .density import alpha_integral, approximate, beta_integral, plan
 from .errors import DomainError
 from .exact import format_rational, nth_prime, parse_rational, rational_to_decimal
@@ -224,13 +224,14 @@ def _cmd_derivatives(args):
 def _cmd_derived_seq(args):
     p = _partition(args)
     _refuse_all_orders(p)
-    rows, seq = [], []
-    for d, q in enumerate(derivatives(p)):
+    rows, seq, q = [], [], poly_of(p)
+    for d in range(p.largest_part + 1):
         dp = Partition(q[1:])  # derived_partition(p, d)
         length, size = dp.length, dp.size
         _refuse_unprintable([size])  # size >= length; each m_i < 10^4300 already
         rows.append({"order": d, "partition": str(dp), "length": str(length), "size": str(size)})
         seq.append(dict(rows[-1], partition=dp.to_json()))
+        q = diff(q)
     return rows, {"partition": p.to_json(), "sequence": seq}, None
 
 
@@ -401,7 +402,8 @@ COMMANDS = {
     "poly": (_cmd_poly, "partition polynomial coefficients", [PARTITION]),
     "derivatives": (_cmd_derivatives, "derivative values at a point", [
         PARTITION,
-        ("--at", {"default": "1", "help": "evaluation point (rational, default 1)"}),
+        ("--at", {"default": "1", "help": "evaluation point (rational, default 1); "
+                  "write a negative fraction as --at=-7/3, as -7/3 reads as a flag"}),
         ("--order", {"type": int, "default": None, "help": "single order instead of 0..k"}),
     ]),
     "derived-seq": (_cmd_derived_seq, "the derived-partition sequence", [PARTITION]),

@@ -21,7 +21,7 @@ from partpoly import (
     collision_search,
     count_partitions,
     deriv_recursive_eval,
-    derivative_profile,
+    derivative_values,
     derived_partition,
     diff,
     evaluate,
@@ -52,10 +52,10 @@ def criterion(number, name, budget_seconds):
 
 def test_criterion_1_example_profiles():
     with criterion(1, "derivative profiles", 1.0):
-        assert derivative_profile(Partition.from_parts([5, 2, 2, 1])) == [
+        assert derivative_values(Partition.from_parts([5, 2, 2, 1]), 1) == [
             4, 10, 24, 60, 120, 120,
         ]
-        assert derivative_profile(Partition.from_parts([4, 3, 2, 1])) == [
+        assert derivative_values(Partition.from_parts([4, 3, 2, 1]), 1) == [
             4, 10, 20, 30, 24,
         ]
 

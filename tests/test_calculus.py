@@ -7,12 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import partpoly.calculus
 from partpoly import (
     DomainError,
     Partition,
     deriv_recursive_eval,
-    derivative_profile,
     derivative_values,
     derived_partition,
     diff,
@@ -156,41 +154,64 @@ def test_derivative_values_match_sympy(mults, x):
         assert values[d] == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
 
 
+def _values_by_diff(p, x):
+    # the per-order route: each order's formal derivative evaluated by Horner
+    coeffs = poly_of(p)
+    return [evaluate(diff(coeffs, d), x) for d in range(p.largest_part + 1)]
+
+
+_POINTS = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-9, max_value=9, max_denominator=10),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example([], Fraction(5, 3))  # the empty partition gives [0]
+@example([], 0)
+@example([0, 0, 3, 0, 0, 10 ** 6], 0)
+@example([10 ** 6 - 1, 0, 0, 10 ** 6], Fraction(-7, 3))
+@example([1, 0, 0, 0, 2], Fraction(10 ** 30 + 1, 10 ** 30))
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 3), st.integers(10 ** 6 - 3, 10 ** 6 + 3)), max_size=12,
+    ),
+    _POINTS,
+)
+def test_taylor_shift_matches_the_per_order_route(mults, x):
+    # negative, zero and positive x, large denominators, interior zero
+    # multiplicities and multiplicities near 10^6; ints and Fractions alike
+    p = Partition(mults)
+    values = derivative_values(p, x)
+    assert values == _values_by_diff(p, x)
+    assert all(type(v) is Fraction for v in values)
+
+
+def test_all_orders_at_one_third_are_fast():
+    # parts 1..1558, the largest all-orders call that prints: about 1.2·10^6
+    # integer multiply-adds of one Taylor shift
+    p = Partition([1] * 1558)
+    start = time.perf_counter()
+    values = derivative_values(p, Fraction(1, 3))
+    assert time.perf_counter() - start < 3
+    assert values[-1] == math.factorial(1558)
+    assert values[-2] == math.factorial(1558) // 3 + math.factorial(1557)
+
+
 def test_derivative_profile_example3():
-    assert derivative_profile(LAMBDA1) == [4, 10, 24, 60, 120, 120]
-    assert derivative_profile(LAMBDA2) == [4, 10, 20, 30, 24]
+    assert derivative_values(LAMBDA1, 1) == [4, 10, 24, 60, 120, 120]
+    assert derivative_values(LAMBDA2, 1) == [4, 10, 20, 30, 24]
 
 
 def test_derivative_profile_all_ones():
-    assert derivative_profile(Partition([7])) == [7, 7]
-
-
-@example([], 0)
-@example([0, 0, 3], 5)
-@given(
-    st.lists(st.integers(min_value=0, max_value=6), max_size=9),
-    st.integers(min_value=0, max_value=12),
-)
-def test_capped_profile_is_the_full_profile_prefix(mults, d):
-    # d runs past the largest part (at most 9), where the profile stops at k
-    p = Partition(mults)
-    assert derivative_profile(p, d) == derivative_profile(p)[: d + 1]
-
-
-def test_capped_profile_stops_differentiating_at_the_cap(monkeypatch):
-    calls = []
-    real_diff = partpoly.calculus.diff
-    monkeypatch.setattr(partpoly.calculus, "diff", lambda c: calls.append(c) or real_diff(c))
-    assert derivative_profile(LAMBDA1, 2) == [4, 10, 24]
-    assert len(calls) == 2
-    with pytest.raises(DomainError):
-        derivative_profile(LAMBDA1, -1)
+    assert derivative_values(Partition([7]), 1) == [7, 7]
 
 
 def test_derivative_profile_invariants():
     for n in range(1, 13):
         for p in iter_partitions(n):
-            profile = derivative_profile(p)
+            profile = derivative_values(p, 1)
             assert profile[0] == p.length
             assert profile[1] == p.size
             assert all(v >= 0 for v in profile)

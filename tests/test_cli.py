@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import partpoly.calculus
 import partpoly.search
 from partpoly import (
     CollisionReport,
@@ -206,6 +205,21 @@ def test_derivatives_at_zero_uses_formal_path():
     assert status == 0
     doc = json.loads(text)
     assert [v["value"] for v in doc["values"]] == ["0", "1", "2"]
+
+
+def test_negative_fraction_at_needs_an_equals_sign(capsys):
+    # argparse reads a lone -7/3 as a flag (a usage error); --at=-7/3 is the point
+    sympy = pytest.importorskip("sympy")
+    status, text = _run(["derivatives", "--parts", "5,2,2,1", "--at=-7/3", "--format", "json"])
+    assert status == 0
+    t = sympy.Symbol("t")
+    f = t ** 5 + 2 * t ** 2 + t
+    expected = [str(sympy.diff(f, t, d).subs(t, sympy.Rational(-7, 3))) for d in range(6)]
+    assert [v["value"] for v in json.loads(text)["values"]] == expected
+    with pytest.raises(SystemExit) as exc:
+        _run(["derivatives", "--parts", "5,2,2,1", "--at", "-7/3"])
+    assert exc.value.code == 2
+    assert "--at: expected one argument" in capsys.readouterr().err
 
 
 def test_derivatives_huge_order_is_fast():
@@ -467,8 +481,7 @@ def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     # the work after each check is stubbed so that the check alone is timed
     monkeypatch.setattr("partpoly.cli.integral", lambda p: Fraction(1, 2))
     monkeypatch.setattr("partpoly.cli.derivative_values", lambda p, x: [0])
-    monkeypatch.setattr("partpoly.cli.diff", lambda coeffs, d: ())
-    monkeypatch.setattr("partpoly.cli.derivatives", lambda p: iter([()]))
+    monkeypatch.setattr("partpoly.cli.diff", lambda coeffs, d=1: ())
     start = time.perf_counter()
     status, text = _run(argv)
     assert time.perf_counter() - start < 1
@@ -653,7 +666,7 @@ def test_collide_keys_on_orders_2_to_d_and_reports_the_bucket_keys(n, length, or
     for key, group in zip(report.keys, report.groups, strict=True):
         orders = range(2, min(order, group[0].largest_part) + 1)
         assert key == (length, n) + tuple(deriv_recursive_eval(group[0], j, 1) for j in orders)
-    evaluated, profiled = [], []
+    evaluated = []
     evaluate = partpoly.search.evaluate
 
     def evaluate_spy(coeffs, x):
@@ -661,7 +674,6 @@ def test_collide_keys_on_orders_2_to_d_and_reports_the_bucket_keys(n, length, or
         return evaluate(coeffs, x)
 
     monkeypatch.setattr(partpoly.search, "evaluate", evaluate_spy)
-    monkeypatch.setattr(partpoly.calculus, "derivative_profile", lambda *a: profiled.append(a))
     status, _ = _run(["collide", "--n", str(n), "--length", str(length), "--order", str(order)])
     assert status == 0
     expected = [
@@ -670,7 +682,6 @@ def test_collide_keys_on_orders_2_to_d_and_reports_the_bucket_keys(n, length, or
         for j in range(2, min(order, p.largest_part) + 1)
     ]
     assert sorted(evaluated) == sorted(expected)
-    assert profiled == []
 
 
 def test_collide_many_parts_runs():
