@@ -52,7 +52,7 @@ MAX_COUNT_STEPS = 10 ** 7
 
 # `avg`, `avg-table` and `conjecture` fill the CountTable triangle, (n+1)(n+2)/2
 # ints of about 36 bytes: `avg --n 3000` fills 4.5·10^6 cells in 1.3 s and
-# 160 MB.  `avg-table` then builds n profiles and integrals (n = 1000: 2.1–2.6 s),
+# 160 MB.  `avg-table` then builds n profiles and integrals (n = 1000: 2.2–3.0 s),
 # and `conjecture` runs it for every n up to its bound (200: 3–4 s).
 MAX_TABLE_CELLS = 5 * 10 ** 6
 MAX_AVG_TABLE_N = 1000
@@ -330,7 +330,8 @@ def _cmd_density(args):
     if math.lcm(a.denominator, c.denominator, bound.denominator) >= 10 ** MAX_DECIMAL_DIGITS:
         raise DomainError(f"the last error's denominator would pass {MAX_DECIMAL_DIGITS} digits")
     trace = approximate(c, epsilon)
-    if args.full_partition:
+    full_partition = args.full_partition and args.format == "json"  # only JSON prints it
+    if full_partition:
         _refuse_over(trace.start_index, MAX_LARGEST_PART,
                      "--full-partition would list {} multiplicities")
     rows, steps = [], []
@@ -351,7 +352,7 @@ def _cmd_density(args):
         "achieved_error": format_rational(trace.achieved_error),
         "result": _step_summary(trace.steps[-1]),
     }
-    if args.full_partition:
+    if full_partition:
         doc["result_partition"] = trace.result.to_json()
     decimal = rational_to_decimal(trace.achieved_error, args.decimal_digits)
     return rows, doc, f"achieved_error: {doc['achieved_error']} (= {decimal})"

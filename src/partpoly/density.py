@@ -34,17 +34,17 @@ def beta(s):
 
 
 def alpha_integral(s):
-    """Closed form (1/s)(1/2 + (s-1)/(s+1)); decreases to 0."""
+    """Closed form (3s − 1)/(2s(s + 1)); decreases to 0."""
     if s < 2:
         raise DomainError("need s >= 2")
-    return (Fraction(1, 2) + Fraction(s - 1, s + 1)) / s
+    return Fraction(3 * s - 1, 2 * s * (s + 1))
 
 
 def beta_integral(s):
-    """Closed form (1/s)((s-1)/2 + 1/(s+1)); increases to 1/2."""
+    """Closed form (s² + 1)/(2s(s + 1)); increases to 1/2."""
     if s < 2:
         raise DomainError("need s >= 2")
-    return (Fraction(s - 1, 2) + Fraction(1, s + 1)) / s
+    return Fraction(s * s + 1, 2 * s * (s + 1))
 
 
 class DensityStep(
@@ -76,19 +76,17 @@ class DensityTrace(namedtuple(
 
 
 def _bracket_index(c):
-    # Smallest s >= 2 with alpha_integral(s) < c < beta_integral(s);
-    # widened by one when c lands exactly on an endpoint.  For c = p/q the
-    # two conditions read 2p·s² + (2p − 3q)·s + q > 0 and
-    # (q − 2p)·s² − 2p·s + q > 0, true past their larger roots (any smaller
-    # root is below 2).  The floored roots never pass the answer, so a walk
-    # of a step or two up settles it exactly.
+    # The smallest s >= 2 with α(s) < c = p/q < β(s), each inequality times
+    # 2q·s(s + 1) a quadratic; both hold past the larger roots (any smaller root
+    # is below 2), and the floored roots never pass s, so the walk is short.
     p, q = c.numerator, c.denominator
+    quadratics = ((2 * p, 2 * p - 3 * q, q), (q - 2 * p, -2 * p, q))
     s = 2
-    for k2, k1, k0 in ((2 * p, 2 * p - 3 * q, q), (q - 2 * p, -2 * p, q)):
+    for k2, k1, k0 in quadratics:
         disc = k1 * k1 - 4 * k2 * k0
         if disc >= 0:
             s = max(s, (math.isqrt(disc) - k1) // (2 * k2))
-    while not (alpha_integral(s) < c < beta_integral(s)):
+    while any(k2 * s * s + k1 * s + k0 <= 0 for k2, k1, k0 in quadratics):
         s += 1
     return s
 

@@ -115,15 +115,12 @@ def parse_rational(s):
 
 
 def rational_to_decimal(q, digits=12):
-    """Round a Fraction to a fixed-point decimal string with `digits` places."""
+    """Round a Fraction to a fixed-point decimal string with `digits` places,
+    half away from zero; a negative value that rounds to zero keeps its "-"."""
     q = Fraction(q)
     sign = "-" if q < 0 else ""
-    q = abs(q)
-    scaled = q * 10 ** digits
-    units = scaled.numerator // scaled.denominator
-    # round half up on the truncated tail
-    if 2 * (scaled.numerator % scaled.denominator) >= scaled.denominator:
-        units += 1
+    units, rest = divmod(abs(q.numerator) * 10 ** digits, q.denominator)
+    units += 2 * rest >= q.denominator
     whole, frac = divmod(units, 10 ** digits)
     if digits == 0:
         return f"{sign}{whole}"

@@ -894,6 +894,15 @@ def test_oversize_full_partition_exits_1(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_full_partition_outside_json_is_ignored():
+    # Table and CSV print no partition, so s > 10^6 is no reason to refuse them.
+    argv = ["density", "--target", "1/10^9", "--epsilon", "1/10^12"]
+    for fmt in ("table", "csv"):
+        plain = _run(argv + ["--format", fmt])
+        assert _run(argv + ["--full-partition", "--format", fmt]) == plain
+        assert plain[0] == 0
+
+
 def test_collide_takes_no_jobs(capsys):
     for argv in [
         ["collide", "--n", "12", "--length", "3", "--order", "2", "--jobs", "1"],

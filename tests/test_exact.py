@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import partpoly.exact as exact
 from partpoly import (
@@ -161,6 +161,43 @@ def test_rational_decimal():
     assert rational_to_decimal(Fraction(-1, 2), 3) == "-0.500"
     assert rational_to_decimal(Fraction(5), 2) == "5.00"
     assert rational_to_decimal(Fraction(7, 2), 0) == "4"
+    assert rational_to_decimal(Fraction(-1, 10 ** 20), 12) == "-0.000000000000"
+    assert rational_to_decimal(Fraction(1, 2), 0) == "1"
+    assert rational_to_decimal(Fraction(-1, 2), 0) == "-1"
+
+
+def _decimal_by_scaling(q, digits):
+    # The Fraction-scaling rounding that rational_to_decimal replaced.
+    q = Fraction(q)
+    sign = "-" if q < 0 else ""
+    scaled = abs(q) * 10 ** digits
+    units = scaled.numerator // scaled.denominator
+    if 2 * (scaled.numerator % scaled.denominator) >= scaled.denominator:
+        units += 1
+    whole, frac = divmod(units, 10 ** digits)
+    return f"{sign}{whole}" if digits == 0 else f"{sign}{whole}.{frac:0{digits}d}"
+
+
+@st.composite
+def _decimal_cases(draw):
+    digits = draw(st.integers(0, 60))
+    num = draw(st.integers(-(10 ** 300), 10 ** 300))
+    den = draw(st.integers(1, 10 ** 300))
+    if draw(st.booleans()):
+        # an exact half at the last place: (2m + 1) / (2·10^digits)
+        num = draw(st.integers(-(10 ** 300), 10 ** 300)) * 2 + 1
+        den = 2 * 10 ** digits
+    return Fraction(num, den), digits
+
+
+@given(_decimal_cases())
+@example((Fraction(0), 0))
+@example((Fraction(0), 60))
+@example((Fraction(-5, 2 * 10 ** 60), 60))
+@example((Fraction(-(10 ** 300), 3), 7))
+def test_rational_decimal_matches_fraction_scaling(case):
+    q, digits = case
+    assert rational_to_decimal(q, digits) == _decimal_by_scaling(q, digits)
 
 
 rationals = st.fractions(
