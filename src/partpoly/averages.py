@@ -2,12 +2,12 @@
 
 Avg(n, ℓ) is the mean of ∫₀¹ f̂_λ over partitions of n into ℓ parts.  It
 equals the integral of the single combined partition, the ⊕-sum of all of
-them, which multiplicity_profile builds without enumeration.  It reads p = p(n, ℓ)
-and, for i = 3..n − ℓ + 1, the number of parts of size i among them, c_i = Σ_j
-p(n − j·i, ℓ − j) over the count-triangle cells 0 <= ℓ − j <= n − j·i only,
-j = 1..min(ℓ, ⌊(n − ℓ)/(i − 1)⌋).  The totals, length ℓ·p and size n·p, give
-c₂ = (n − ℓ)·p − Σ_{i≥3} (i − 1)·c_i and c₁ = ℓ·p − c₂ − Σ_{i≥3} c_i; the largest
-part is n − ℓ + 1.  Enumeration is kept as the oracle at small n in the tests.
+them, which multiplicity_profile builds without enumeration.  CountTable.count
+gives p = p(n, ℓ) and fills the triangle through row n, whose rows then give the
+number of parts of size i = 3..n − ℓ + 1 among them, c_i = Σ_j p(n − j·i, ℓ − j)
+over the cells 0 <= ℓ − j <= n − j·i only, j = 1..min(ℓ, ⌊(n − ℓ)/(i − 1)⌋).  The
+totals ℓ·p and n·p give c₂ = (n − ℓ)·p − Σ_{i≥3} (i − 1)·c_i and c₁ = ℓ·p − c₂ −
+Σ_{i≥3} c_i; the largest part is n − ℓ + 1.  Enumeration is the tests' oracle.
 
 The even-n closed form for Avg(n, 2) here carries the correction term
 2/(n+2): the duplicated part n/2 in the combined partition contributes
@@ -40,12 +40,13 @@ def multiplicity_profile(n, length, table=None):
         raise DomainError("need 1 <= length <= n")
     table = table or CountTable()
     p = table.count(n, length)  # fills the table through row n
+    rows = table._rows  # every row read below is below n, so already filled
     # only sizes i >= 3 are read: the totals ℓ·p and n·p give parts 1 and 2
     counts = []
     for i in range(3, n - length + 2):
         c = 0
         for j in range(1, min(length, (n - length) // (i - 1)) + 1):
-            c += table.count(n - j * i, length - j)
+            c += rows[n - j * i][length - j]
         counts.append(c)
     c2 = (n - length) * p - sum(i * c for i, c in enumerate(counts, 2))
     return Partition([length * p - c2 - sum(counts), c2] + counts)
@@ -63,11 +64,7 @@ def avg_table(n, table=None):
         raise DomainError("need n >= 1")
     table = table or CountTable()
     values = tuple(avg(n, l, table) for l in range(1, n + 1))
-    first_violation = None
-    for l in range(1, n):
-        if values[l - 1] > values[l]:
-            first_violation = l
-            break
+    first_violation = next((l for l in range(1, n) if values[l - 1] > values[l]), None)
     return AvgReport(n, values, first_violation is None, first_violation)
 
 

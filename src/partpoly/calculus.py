@@ -11,6 +11,8 @@ every partition it touches.
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .errors import DomainError
 from .exact import stirling2
@@ -98,7 +100,8 @@ def derivative_values(partition, x):
     for top in range(k, 0, -1):  # h[0..k] ends as H_k, ..., H_0
         for i in range(1, top + 1):
             h[i] += a * h[i - 1]
-    return [Fraction(math.factorial(d) * h[k - d], b ** (k - d)) for d in range(k + 1)]
+    factorials = accumulate(range(1, k + 1), mul, initial=1)  # d! = (d − 1)!·d
+    return [Fraction(f * h[k - d], b ** (k - d)) for d, f in enumerate(factorials)]
 
 
 def derived_partition(partition, d):

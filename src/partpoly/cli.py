@@ -51,9 +51,9 @@ MAX_VALUE_BITS = (10 ** MAX_DECIMAL_DIGITS).bit_length() - 1
 MAX_COUNT_STEPS = 10 ** 7
 
 # `avg`, `avg-table` and `conjecture` fill the CountTable triangle, (n+1)(n+2)/2
-# ints of about 36 bytes: `avg --n 3000` fills 4.5·10^6 cells in 1.3 s and
-# 160 MB.  `avg-table` then builds n profiles and integrals (n = 1000: 2.2–3.0 s),
-# and `conjecture` runs it for every n up to its bound (200: 3–4 s).
+# ints of about 36 bytes: `avg --n 3000` fills 4.5·10^6 cells in 1.2–1.7 s and
+# 160 MB.  `avg-table` then builds n profiles and integrals (n = 1000: 1.8–2.3 s),
+# and `conjecture` runs it for every n up to its bound (200: 2.4–3.1 s).
 MAX_TABLE_CELLS = 5 * 10 ** 6
 MAX_AVG_TABLE_N = 1000
 MAX_CONJECTURE_N = 200

@@ -174,8 +174,8 @@ def iter_partitions(n, length=None):
 
 
 class CountTable:
-    """Memoized table of p(n, ℓ) via p(n, ℓ) = p(n−1, ℓ−1) + p(n−ℓ, ℓ), filled
-    up to the largest n requested; count calls ensure only for a missing row."""
+    """Memoized p(n, ℓ) = p(n−1, ℓ−1) + p(n−ℓ, ℓ); count calls ensure only for a
+    missing row, and multiplicity_profile reads the filled rows directly."""
 
     def __init__(self):
         self._rows = [[1]]  # _rows[n][l] = p(n, l) for 0 <= l <= n

@@ -54,12 +54,27 @@ def test_profile_matches_enumeration():
             assert multiplicity_profile(n, l) == _profile_by_enumeration(n, l)
 
 
-class _TriangleOnlyTable(CountTable):
-    """A CountTable that fails on any read outside 0 <= length <= n."""
+class _TriangleOnlyRow(list):
+    """A list that fails on any index outside 0 <= index < len: row n of the
+    table then fails outside 0 <= length <= n, where a plain list would wrap a
+    negative index silently."""
 
-    def count(self, n, length=None):
-        assert length is not None and 0 <= length <= n, (n, length)
-        return super().count(n, length)
+    def __getitem__(self, index):
+        assert isinstance(index, int) and 0 <= index < len(self), (index, len(self))
+        return super().__getitem__(index)
+
+
+class _TriangleOnlyTable(CountTable):
+    """A CountTable whose row list and rows are all _TriangleOnlyRow."""
+
+    def __init__(self):
+        self._rows = _TriangleOnlyRow([_TriangleOnlyRow([1])])
+
+    def ensure(self, n_max):
+        filled = len(self._rows)
+        super().ensure(n_max)
+        for n in range(filled, len(self._rows)):
+            self._rows[n] = _TriangleOnlyRow(self._rows[n])
 
 
 def test_profile_reads_only_triangle_cells():
@@ -69,6 +84,14 @@ def test_profile_reads_only_triangle_cells():
             combined = multiplicity_profile(n, l, table)
             if n <= 20:
                 assert combined == _profile_by_enumeration(n, l)
+
+
+def test_triangle_only_table_catches_reads_outside_the_triangle():
+    table = _TriangleOnlyTable()
+    assert table.count(5, 2) == 2
+    for n, length in ((5, -1), (-1, 0), (5, 6), (6, 0)):
+        with pytest.raises(AssertionError):
+            table._rows[n][length]
 
 
 def test_profile_closed_forms_at_lengths_n_n1_n2():
@@ -83,21 +106,59 @@ def test_profile_closed_forms_at_lengths_n_n1_n2():
             assert multiplicity_profile(n, n - 2, table) == Partition([2 * n - 7, 2, 1])
 
 
-class _CountingTable(CountTable):
+class _CountingRow(list):
     reads = 0
 
+    def __getitem__(self, index):
+        _CountingRow.reads += 1
+        return super().__getitem__(index)
+
+
+class _CountingTable(CountTable):
+    """Counts count calls and reads of filled rows; the fill's reads are not
+    counted."""
+
+    calls = 0
+
+    def __init__(self):
+        self._rows = [_CountingRow([1])]
+
     def count(self, n, length=None):
-        _CountingTable.reads += 1
+        _CountingTable.calls += 1
         return super().count(n, length)
+
+    def ensure(self, n_max):
+        reads, filled = _CountingRow.reads, len(self._rows)
+        super().ensure(n_max)
+        _CountingRow.reads = reads
+        for n in range(filled, len(self._rows)):
+            self._rows[n] = _CountingRow(self._rows[n])
 
 
 def test_conjecture_scan_reads_only_part_sizes_from_3(monkeypatch):
-    # one read of p(n, ℓ) per profile, then j = 1..min(ℓ, ⌊(n − ℓ)/(i − 1)⌋) per
-    # i >= 3: 1,672,447 reads at n <= 150, where reading i = 1 and 2 made 2,518,972
+    # one count call per profile (11,325), each reading p(n, ℓ) from its row, then
+    # j = 1..min(ℓ, ⌊(n − ℓ)/(i − 1)⌋) direct row reads per i >= 3 (1,661,122):
+    # 1,672,447 reads at n <= 150, where reading i = 1 and 2 made 2,518,972
     monkeypatch.setattr("partpoly.averages.CountTable", _CountingTable)
-    monkeypatch.setattr(_CountingTable, "reads", 0)
+    monkeypatch.setattr(_CountingTable, "calls", 0)
+    monkeypatch.setattr(_CountingRow, "reads", 0)
     check_conjecture(150)
-    assert _CountingTable.reads == 1_672_447
+    assert _CountingTable.calls == 11_325
+    assert _CountingRow.reads == 1_672_447
+
+
+def test_profiles_from_an_overfilled_shared_table():
+    # a table filled past n, as check_conjecture's shared one is, gives what a
+    # fresh table gives
+    reports = check_conjecture(60)
+    table = CountTable()
+    table.count(60)
+    for n in range(1, 61):
+        fresh = avg_table(n)
+        assert avg_table(n, table) == fresh == reports[n - 1]
+        if n <= 20:
+            for l in range(1, n + 1):
+                assert multiplicity_profile(n, l, table) == _profile_by_enumeration(n, l)
 
 
 def test_profile_domain():
