@@ -28,19 +28,14 @@ from .exact import (
     rational_to_decimal,
     stirling2,
 )
-from .integrals import integral, is_nontrivial, normalized_eval
+from .integrals import integral, normalized_eval
 from .partitions import (
     CountTable,
     Partition,
     count_partitions,
     iter_partitions,
 )
-from .search import (
-    CollisionReport,
-    collision_search,
-    distinguishing_order,
-    smallest_collision_size,
-)
+from .search import CollisionReport, collision_search, distinguishing_order
 
 __all__ = [
     "AvgReport",
@@ -69,7 +64,6 @@ __all__ = [
     "format_rational",
     "harmonic",
     "integral",
-    "is_nontrivial",
     "iter_partitions",
     "multiplicity_profile",
     "normalized_eval",
@@ -77,6 +71,5 @@ __all__ = [
     "parse_rational",
     "poly_of",
     "rational_to_decimal",
-    "smallest_collision_size",
     "stirling2",
 ]

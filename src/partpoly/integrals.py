@@ -34,8 +34,3 @@ def integral(partition):
     d = math.lcm(*(j for j, m in enumerate(mults, start=2) if m))
     total = sum(m * (d // j) for j, m in enumerate(mults, start=2) if m)
     return Fraction(total, d * partition.length)
-
-
-def is_nontrivial(partition):
-    """True when the partition has at least one part larger than 1."""
-    return partition.largest_part > 1

@@ -53,14 +53,6 @@ class Partition:
     def is_empty(self):
         return not self._mults
 
-    def multiplicity(self, i):
-        """Multiplicity of part i (0 beyond the largest part)."""
-        if i < 1:
-            raise DomainError("part sizes start at 1")
-        if i > len(self._mults):
-            return 0
-        return self._mults[i - 1]
-
     @property
     def length(self):
         """Number of parts ℓ = Σ m_i."""
@@ -102,30 +94,8 @@ class Partition:
 
     __add__ = oplus
 
-    def parts(self):
-        """Expand to the descending part list.  Only sensible for small
-        multiplicities; the density construction never calls this."""
-        out = []
-        for i in range(len(self._mults), 0, -1):
-            out.extend([i] * self._mults[i - 1])
-        return out
-
-    def support_size(self):
-        """Number of distinct part sizes with nonzero multiplicity."""
-        return sum(1 for m in self._mults if m > 0)
-
     def to_json(self):
         return {"multiplicities": [str(m) for m in self._mults]}
-
-    @classmethod
-    def from_json(cls, doc):
-        """Accept {"multiplicities": [...]} or {"parts": [...]} with
-        big integers as decimal strings or numbers."""
-        if "multiplicities" in doc:
-            return cls(int(m) for m in doc["multiplicities"])
-        if "parts" in doc:
-            return cls.from_parts([int(p) for p in doc["parts"]])
-        raise DomainError("partition JSON needs 'multiplicities' or 'parts'")
 
     def __eq__(self, other):
         if not isinstance(other, Partition):

@@ -26,7 +26,8 @@ def distinguishing_order(lam, mu):
 
 class CollisionReport(namedtuple("CollisionReport", "n length order groups keys")):
     """groups are tuples of two or more Partitions sharing a profile prefix;
-    keys[i] is groups[i]'s prefix, f^(d)(1) for d <= order."""
+    keys[i] is groups[i]'s prefix (ℓ, n, f''(1), ..., f^(min(order, k))(1)),
+    with k the largest part of any member."""
 
     __slots__ = ()
 
@@ -55,12 +56,3 @@ def collision_search(n, length, order):
         buckets.setdefault(key, []).append(p)
     found = {(length, n) + key: tuple(g) for key, g in buckets.items() if len(g) >= 2}
     return CollisionReport(n, length, order, tuple(found.values()), tuple(found))
-
-
-def smallest_collision_size(length, order, n_max=200):
-    """Scan n upward and return the first n at which collision_search finds
-    a group, or None if none appears by n_max."""
-    for n in range(length, n_max + 1):
-        if collision_search(n, length, order).groups:
-            return n
-    return None

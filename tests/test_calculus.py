@@ -84,7 +84,7 @@ def test_high_order_derived_partition_is_one_pass():
     start = time.perf_counter()
     q = derived_partition(p, 2000)
     assert time.perf_counter() - start < 0.5
-    assert q.largest_part == 1000 and q.multiplicity(1) == math.perm(2001, 2000)
+    assert q.largest_part == 1000 and q.multiplicities[0] == math.perm(2001, 2000)
 
 
 def test_evaluate_examples():
@@ -237,7 +237,7 @@ def _derived_partition_by_factorials(partition, d):
         scale = 1
         for t in range(j + 1, j + d + 1):
             scale *= t
-        mults.append(scale * partition.multiplicity(j + d))
+        mults.append(scale * partition.multiplicities[j + d - 1])
     return Partition(mults)
 
 
@@ -253,7 +253,7 @@ def test_derived_partition_matches_factorial_formula():
             run(["derived-seq", "--mults", ",".join(map(str, p.multiplicities)), "--format", "json"], out)
             seq = json.loads(out.getvalue())["sequence"]
             assert [row["order"] for row in seq] == list(range(p.largest_part + 1))
-            assert [Partition.from_json(row["partition"]) for row in seq] == [
+            assert [Partition(map(int, row["partition"]["multiplicities"])) for row in seq] == [
                 _derived_partition_by_factorials(p, d) for d in range(p.largest_part + 1)
             ]
 
@@ -268,7 +268,7 @@ def test_derived_partition_polynomials_are_derivatives():
             for d in range(p.largest_part + 1):
                 coeffs = diff(poly_of(p), d)
                 constant = coeffs[0] if coeffs else 0
-                expected_constant = factorial(d) * p.multiplicity(d) if d >= 1 else 0
+                expected_constant = factorial(d) * p.multiplicities[d - 1] if d >= 1 else 0
                 assert constant == expected_constant
                 assert poly_of(derived_partition(p, d)) == ((0,) + coeffs[1:] if coeffs[1:] else ())
 
@@ -287,10 +287,10 @@ def test_derived_partition_length_size_closed_forms():
             for d in range(k + 1):
                 dp = derived_partition(p, d)
                 length = sum(
-                    _falling(i, d) * p.multiplicity(i) for i in range(d + 1, k + 1)
+                    _falling(i, d) * p.multiplicities[i - 1] for i in range(d + 1, k + 1)
                 )
                 size = sum(
-                    _falling(i, d + 1) * p.multiplicity(i)
+                    _falling(i, d + 1) * p.multiplicities[i - 1]
                     for i in range(d + 1, k + 1)
                 )
                 assert dp.length == length
@@ -305,7 +305,7 @@ def test_derived_partition_relationship_identity():
         for p in iter_partitions(n):
             for d in range(1, p.largest_part + 1):
                 lhs = derived_partition(p, d - 1).size
-                rhs = derived_partition(p, d).length + factorial(d) * p.multiplicity(d)
+                rhs = derived_partition(p, d).length + factorial(d) * p.multiplicities[d - 1]
                 assert lhs == rhs
 
 

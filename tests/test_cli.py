@@ -42,6 +42,11 @@ from partpoly.density import plan
 from partpoly.exact import MAX_POWER_BITS
 
 
+def _from_json(doc):
+    """The Partition a CLI's JSON output names, {"multiplicities": [...]}."""
+    return Partition(int(m) for m in doc["multiplicities"])
+
+
 def _run(argv):
     out = io.StringIO()
     status = run(argv, out=out)
@@ -247,7 +252,7 @@ def test_integral_json():
     assert status == 0
     doc = json.loads(text)
     assert doc["integral"] == "1/3"
-    assert Partition.from_json(doc["partition"]) == Partition.from_parts([5, 2, 2, 1])
+    assert _from_json(doc["partition"]) == Partition.from_parts([5, 2, 2, 1])
 
 
 def test_mults_and_parts_agree():
@@ -259,7 +264,7 @@ def test_mults_and_parts_agree():
 def test_partition_json_round_trip():
     _, text = _run(["stats", "--parts", "4,3,3,3,1", "--format", "json"])
     doc = json.loads(text)
-    assert Partition.from_json(doc["partition"]) == Partition.from_parts([4, 3, 3, 3, 1])
+    assert _from_json(doc["partition"]) == Partition.from_parts([4, 3, 3, 3, 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,7 +286,7 @@ def test_formats_carry_identical_cells(mults, command, at):
     doc = json.loads(texts["json"])
     rows = doc["values"] if command == "derivatives" else [doc]
     cells = [
-        [str(Partition.from_json(r[k])) if k == "partition" else str(r[k]) for k in table[0]]
+        [str(_from_json(r[k])) if k == "partition" else str(r[k]) for k in table[0]]
         for r in rows
     ]
     assert cells == table[1:]
@@ -334,7 +339,7 @@ def test_density_json_trace():
     assert doc["target"] == "1/3"
     for step in doc["steps"]:
         assert set(step["partition"]) == {"largest_part", "length_log2", "support_size"}
-    result = Partition.from_json(doc["result_partition"])
+    result = _from_json(doc["result_partition"])
     from fractions import Fraction
 
     from partpoly import integral
@@ -347,11 +352,8 @@ def test_density_json_trace():
 def test_collide_json():
     _, text = _run(["collide", "--n", "12", "--length", "3", "--order", "2", "--format", "json"])
     doc = json.loads(text)
-    groups = [
-        {tuple(sorted(Partition.from_json(p).parts(), reverse=True)) for p in g}
-        for g in doc["groups"]
-    ]
-    assert {(6, 5, 1), (7, 3, 2)} in groups
+    groups = [{_from_json(p) for p in g} for g in doc["groups"]]
+    assert {Partition.from_parts([6, 5, 1]), Partition.from_parts([7, 3, 2])} in groups
 
 
 def test_count_subcommand():
@@ -634,6 +636,18 @@ def test_oversized_collide_exits_1(argv, allowed, capsys, monkeypatch):
     assert status == 1 and text == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(MAX_COLLIDE_STEPS) in err
+
+
+@pytest.mark.parametrize("order", ["0", "-1", "-7"])
+def test_collide_refuses_a_bad_order_before_counting(order, capsys):
+    # d <= −1 made the estimates' factor (min(d, k) + 1)·k <= 0, so p(400000,
+    # 200000) was counted (11 s) before collision_search refused; d = 0 was
+    # refused on the estimate, not on the order
+    start = time.perf_counter()
+    status, text = _run(["collide", "--n", "400000", "--length", "200000", "--order", order])
+    assert time.perf_counter() - start < 1
+    assert status == 1 and text == ""
+    assert capsys.readouterr().err == "error: need order >= 1\n"
 
 
 def test_count_length_near_n_is_cheap():

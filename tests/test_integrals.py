@@ -9,7 +9,6 @@ from partpoly import (
     DomainError,
     Partition,
     integral,
-    is_nontrivial,
     iter_partitions,
     normalized_eval,
     poly_of,
@@ -81,7 +80,7 @@ def test_normalized_eval_dominated_by_x():
             for x in grid:
                 value = normalized_eval(p, x)
                 assert value <= x
-                if 0 < x < 1 and is_nontrivial(p):
+                if 0 < x < 1 and p.largest_part > 1:
                     assert value < x
 
 
@@ -117,7 +116,7 @@ def test_integral_bounds_and_equality_condition():
         for p in iter_partitions(n):
             value = integral(p)
             assert 0 < value <= half
-            assert (value == half) == (p.multiplicity(1) == p.length)
+            assert (value == half) == (p.multiplicities[0] == p.length)
 
 
 def test_integral_matches_antiderivative_oracle():
@@ -155,9 +154,3 @@ def test_equal_length_mean():
         for _ in range(min(20, len(group) ** 2)):
             a, b = rng.choice(group), rng.choice(group)
             assert integral(a.oplus(b)) == (integral(a) + integral(b)) / 2
-
-
-def test_is_nontrivial():
-    assert is_nontrivial(Partition.from_parts([2, 1]))
-    assert not is_nontrivial(Partition([4]))
-    assert not is_nontrivial(Partition())

@@ -9,8 +9,12 @@ from partpoly import (
     derivative_values,
     distinguishing_order,
     iter_partitions,
-    smallest_collision_size,
 )
+
+
+def _smallest_collision_size(length, order, n_max):
+    # the first n at which collision_search finds a group, None if none by n_max
+    return next((n for n in range(length, n_max + 1) if collision_search(n, length, order).groups), None)
 
 
 def test_distinguishing_order_example3_pair():
@@ -92,9 +96,10 @@ def test_pte_pair_is_the_only_order_4_collision(n, first, second):
     assert report.keys == (tuple(derivative_values(a, 1)[:5]),)
 
 
-@pytest.mark.parametrize("length, order, n", [(3, 2, 9), (4, 3, 18)])
+# (5, 4) -> 50 and (6, 5) -> 54 also hold, but their scans take 6 s and 20 s
+@pytest.mark.parametrize("length, order, n", [(3, 2, 9), (4, 3, 18), (6, 4, 36), (7, 4, 35)])
 def test_smallest_collision_size_fixtures(length, order, n):
-    assert smallest_collision_size(length, order, n_max=n) == n
+    assert _smallest_collision_size(length, order, n_max=n) == n
 
 
 def test_collision_search_12_3_2():
@@ -173,7 +178,7 @@ def test_smallest_length5_order2_collision_is_11():
     # regression fixture: first size with two unequal length-5 partitions
     # sharing f(1), f'(1), f''(1); {5,2,2,1,1} and {4,4,1,1,1} both have
     # second moment 35
-    assert smallest_collision_size(5, 2, n_max=20) == 11
+    assert _smallest_collision_size(5, 2, n_max=20) == 11
     groups = collision_search(11, 5, 2).groups
     target = {
         Partition.from_parts([5, 2, 2, 1, 1]),
