@@ -109,5 +109,7 @@ def derived_partition(partition, d):
     polynomial: its coefficients past the constant term, so part j gets
     multiplicity ((j+d)!/j!)·m_{j+d}.  The constant d!·m_d would be a part
     of size zero and is excluded: f_λ^(d)(x) = d!·m_d + f_{λ^(d)}(x), so the
-    derivative's tuple is (d!·m_d,) + poly_of(λ^(d))[1:].  Empty for d ≥ k."""
+    derivative's tuple is (d!·m_d,) + poly_of(λ^(d))[1:].  Differentiating
+    f_{λ^(d)} once gives f_λ^(d+1), so λ^(d+1) = (λ^(d))^(1): the whole
+    sequence is a walk of first derived partitions.  Empty for d ≥ k."""
     return Partition(diff(poly_of(partition), d)[1:])

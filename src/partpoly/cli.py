@@ -11,7 +11,7 @@ import math
 import sys
 
 from .averages import avg, avg_table, check_conjecture
-from .calculus import derivative_values, diff, evaluate, poly_of
+from .calculus import derivative_values, derived_partition, diff, evaluate, poly_of
 from .density import alpha_integral, approximate, beta_integral, plan
 from .errors import DomainError
 from .exact import format_rational, nth_prime, parse_rational, rational_to_decimal
@@ -44,6 +44,12 @@ MAX_DERIVATIVE_STEPS = 10 ** 7
 # of about K·log2 max(|p|, q) bits, or a max(|p|, q)^K of more than
 # MAX_DECIMAL_DIGITS digits, unless terms cancel or share factors with q.
 MAX_VALUE_BITS = (10 ** MAX_DECIMAL_DIGITS).bit_length() - 1
+
+# `derived-seq` prints each m_i ≠ 0 in λ^(0..i−1), about k³ digits for k ones (800:
+# 332 MB in 11.8 s, 459 MB RSS), so it refuses a bound on those digits past this first.
+# The slowest allowed, m_1558 = 1 with m_700 = ⌊10^4299/700!⌋ (9.7·10^6), takes 3.5 s
+# as a table and 5.5 s as JSON, 123 MB; `--parts 1558` (6.7·10^6) 1.8 and 4.1 s.
+MAX_DERIVED_SEQ_DIGITS = 10 ** 7
 
 # `count` refuses a call whose step estimate passes this: n^1.5 for p(n),
 # (n − ℓ)·ℓ for p(n, ℓ), and (n − ℓ)^1.5 once ℓ >= n − ℓ.  10^7 steps take
@@ -81,8 +87,8 @@ def _int_list(text):
         ) from None
 
 
-def _int_in(low, high=None):
-    """An argparse type for an integer in [low, high] (no upper end if None)."""
+def _int_in(low, high):
+    """An argparse type for an integer in [low, high]."""
 
     def parse(text):
         try:
@@ -91,7 +97,7 @@ def _int_in(low, high=None):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and value > high:
+        if value > high:
             raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
@@ -126,12 +132,18 @@ def _refuse_all_orders(p):
     """All orders print each i!·m_i, i <= k: f^(i)(0), λ^(i−1)'s count of ones,
     and a lower bound on f^(i)(x) at x >= 0 (an estimate below 0).  As i! <=
     k!·m_k, refuse at the first i!·max(m_i, 1) >= 10^MAX_DECIMAL_DIGITS: i = 1559
-    at the latest."""
-    bound, factorial = 10 ** MAX_DECIMAL_DIGITS, 1
+    at the latest.  Returns an upper bound on the digits of the multiplicities
+    `derived-seq` prints: each m_i ≠ 0 appears in λ^(0), ..., λ^(i−1), each time
+    as ((j + d)!/j!)·m_i <= i!·m_i, and log10(2) < 0.30103."""
+    bound, factorial, digits = 10 ** MAX_DECIMAL_DIGITS, 1, 0
     for i, m in enumerate(p.multiplicities, 1):
         factorial *= i
-        if factorial * max(m, 1) >= bound:
+        value = factorial * max(m, 1)
+        if value >= bound:
             raise DomainError(f"all orders would print {i}!·m_{i}, past {MAX_DECIMAL_DIGITS} digits")
+        if m:
+            digits += i * (value.bit_length() * 30103 // 100000 + 1)
+    return digits
 
 
 def _partition(args):
@@ -176,13 +188,15 @@ def _cmd_stats(args):
         m * (nth_prime(i).bit_length() - 1) for i, m in enumerate(p.multiplicities, 1) if m
     )
     _refuse_over(bits, MAX_VALUE_BITS, "the supernorm has at least {} bits")
+    supernorm = p.supernorm()
+    _refuse_unprintable([supernorm], "the supernorm")  # norm <= supernorm, as i <= p_i
     row = {
         "partition": str(p),
         "length": p.length,
         "size": p.size,
         "largest_part": p.largest_part,
         "norm": p.norm(),
-        "supernorm": p.supernorm(),
+        "supernorm": supernorm,
     }
     return [row], dict(row, partition=p.to_json()), None
 
@@ -199,6 +213,8 @@ def _cmd_derivatives(args):
     k, d = p.largest_part, args.order
     if d is None:
         _refuse_all_orders(p)
+    elif d < 0:
+        raise DomainError("derivative order must be nonnegative")
     elif d <= k:  # a higher order is 0 at once
         _refuse_over(d * k, MAX_DERIVATIVE_STEPS, "--order would take about {} steps")
     degree = max(k - (d or 0), 0)  # of f^(d), or of f itself for all orders
@@ -223,17 +239,15 @@ def _cmd_derivatives(args):
 
 def _cmd_derived_seq(args):
     p = _partition(args)
-    _refuse_all_orders(p)
-    rows, seq, q = [], [], poly_of(p)
+    digits = _refuse_all_orders(p)
+    _refuse_over(digits, MAX_DERIVED_SEQ_DIGITS, "derived-seq would print up to {} digits")
+    rows, seq, dp = [], [], p
     for d in range(p.largest_part + 1):
-        # dp is derived_partition(p, d); one diff per order down the chain is
-        # 2.5–6× faster than a derived_partition call per order
-        dp = Partition(q[1:])
         length, size = dp.length, dp.size
         _refuse_unprintable([size])  # size >= length; each m_i < 10^4300 already
         rows.append({"order": d, "partition": str(dp), "length": str(length), "size": str(size)})
         seq.append(dict(rows[-1], partition=dp.to_json()))
-        q = diff(q)
+        dp = derived_partition(dp, 1)
     return rows, {"partition": p.to_json(), "sequence": seq}, None
 
 

@@ -32,6 +32,7 @@ from partpoly.cli import (
     MAX_COUNT_STEPS,
     MAX_DECIMAL_DIGITS,
     MAX_DERIVATIVE_STEPS,
+    MAX_DERIVED_SEQ_DIGITS,
     MAX_LARGEST_PART,
     MAX_TABLE_CELLS,
     MAX_VALUE_BITS,
@@ -478,12 +479,23 @@ NINES = "9" * MAX_DECIMAL_DIGITS
     (["derivatives", "--parts", "300", "--order", "301", "--at", "1e-5000"], MAX_DECIMAL_DIGITS),
     # an exponent is capped as 10^|e| is, before Fraction builds the power
     (["derivatives", "--parts", "3", "--at", "1e-9999999"], MAX_POWER_BITS),
+    # the supernorm is checked for digits once built: 5^6151 has 4,300, 5^6152 4,301
+    (["stats", "--mults", "0,0,6151"], None),
+    (["stats", "--mults", "0,0,6152"], MAX_DECIMAL_DIGITS),
+    (["stats", "--mults", "0,0,6152", "--format", "json"], MAX_DECIMAL_DIGITS),
+    (["stats", "--mults", "0,0,7142"], MAX_DECIMAL_DIGITS),
+    (["stats", "--mults", "0,0,7142", "--format", "json"], MAX_DECIMAL_DIGITS),
+    # derived-seq prints each m_i ≠ 0 i times, at most i!·m_i: k ones print about k³ digits
+    (["derived-seq", "--mults", ",".join(["1"] * 253)], None),  # 9,979,190 digits
+    (["derived-seq", "--mults", ",".join(["1"] * 254)], MAX_DERIVED_SEQ_DIGITS),
+    (["derived-seq", "--mults", ",".join(["1"] * 800), "--format", "json"], MAX_DERIVED_SEQ_DIGITS),
 ])
 def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     # the work after each check is stubbed so that the check alone is timed
     monkeypatch.setattr("partpoly.cli.integral", lambda p: Fraction(1, 2))
     monkeypatch.setattr("partpoly.cli.derivative_values", lambda p, x: [0])
     monkeypatch.setattr("partpoly.cli.diff", lambda coeffs, d=1: ())
+    monkeypatch.setattr("partpoly.cli.derived_partition", lambda p, d: Partition())
     start = time.perf_counter()
     status, text = _run(argv)
     assert time.perf_counter() - start < 1
@@ -494,6 +506,17 @@ def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     assert status == 1 and text == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(limit) in err
+
+
+@pytest.mark.parametrize("order", ["-1", "-100000"])
+@pytest.mark.parametrize("at", ["1", "1/3"])
+def test_negative_order_is_refused_first(order, at, capsys):
+    # refused before the value estimate, whose degree k − d grows as d goes negative
+    start = time.perf_counter()
+    status, text = _run(["derivatives", "--parts", "5", "--order", order, "--at", at])
+    assert time.perf_counter() - start < 1
+    assert status == 1 and text == ""
+    assert capsys.readouterr().err == "error: derivative order must be nonnegative\n"
 
 
 def test_order_past_degree_is_zero_at_once():
