@@ -1,13 +1,12 @@
 """Average integrals over all partitions of fixed size and length.
 
-Avg(n, ℓ) is the mean of ∫₀¹ f̂_λ over partitions of n into ℓ parts.  It
-equals the integral of the single combined partition, the ⊕-sum of all of
-them, which multiplicity_profile builds without enumeration.  CountTable.count
-gives p = p(n, ℓ) and fills the triangle through row n, whose rows then give the
-number of parts of size i = 3..n − ℓ + 1 among them, c_i = Σ_j p(n − j·i, ℓ − j)
-over the cells 0 <= ℓ − j <= n − j·i only, j = 1..min(ℓ, ⌊(n − ℓ)/(i − 1)⌋).  The
-totals ℓ·p and n·p give c₂ = (n − ℓ)·p − Σ_{i≥3} (i − 1)·c_i and c₁ = ℓ·p − c₂ −
-Σ_{i≥3} c_i; the largest part is n − ℓ + 1.  Enumeration is the tests' oracle.
+Avg(n, ℓ) is the mean of ∫₀¹ f̂_λ over partitions of n into ℓ parts: the integral of
+their ⊕-sum, the combined partition, which multiplicity_profile builds without
+enumeration.  CountTable.count gives p = p(n, ℓ) and fills the triangle through row n,
+whose rows give the count c_i = Σ_j p(n − j·i, ℓ − j) of parts i = 3..n − ℓ + 1 over
+j = 1..min(ℓ, ⌊(n − ℓ)/(i − 1)⌋), the cells 0 <= ℓ − j <= n − j·i; the totals ℓ·p and
+n·p give c₂ = (n − ℓ)·p − Σ_{i≥3} (i − 1)·c_i and c₁ = ℓ·p − c₂ − Σ_{i≥3} c_i.  No part
+exceeds n: row n shares D = lcm(2..n+1) and D/(i+1), and Avg is a dot product / (D·ℓ·p).
 
 The even-n closed form for Avg(n, 2) here carries the correction term
 2/(n+2): the duplicated part n/2 in the combined partition contributes
@@ -18,10 +17,10 @@ this down at n = 4, where the corrected form gives 17/48.
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError
 from .exact import harmonic
-from .integrals import integral
 from .partitions import CountTable, Partition, count_partitions
 
 
@@ -52,10 +51,17 @@ def multiplicity_profile(n, length, table=None):
     return Partition([length * p - c2 - sum(counts), c2] + counts)
 
 
+def _integrals(profiles, k):
+    """The integral of each combined partition in `profiles`, none with a part above k."""
+    d = math.lcm(*range(2, k + 2))
+    w = [d // j for j in range(2, k + 2)]
+    return [Fraction(sum(map(mul, p.multiplicities, w)), d * p.length) for p in profiles]
+
+
 def avg(n, length, table=None):
-    """Avg(n, ℓ): mean integral over all partitions of n into ℓ parts,
-    computed as the integral of the combined partition."""
-    return integral(multiplicity_profile(n, length, table))
+    """Avg(n, ℓ): mean integral over all partitions of n into ℓ parts."""
+    profile = multiplicity_profile(n, length, table)
+    return _integrals([profile], profile.largest_part)[0]
 
 
 def avg_table(n, table=None):
@@ -63,7 +69,7 @@ def avg_table(n, table=None):
     if n < 1:
         raise DomainError("need n >= 1")
     table = table or CountTable()
-    values = tuple(avg(n, l, table) for l in range(1, n + 1))
+    values = tuple(_integrals((multiplicity_profile(n, l, table) for l in range(1, n + 1)), n))
     first_violation = next((l for l in range(1, n) if values[l - 1] > values[l]), None)
     return AvgReport(n, values, first_violation is None, first_violation)
 

@@ -47,8 +47,8 @@ MAX_VALUE_BITS = (10 ** MAX_DECIMAL_DIGITS).bit_length() - 1
 
 # `derived-seq` prints each m_i ≠ 0 in λ^(0..i−1), about k³ digits for k ones (800:
 # 332 MB in 11.8 s, 459 MB RSS), so it refuses a bound on those digits past this first.
-# The slowest allowed, m_1558 = 1 with m_700 = ⌊10^4299/700!⌋ (9.7·10^6), takes 3.5 s
-# as a table and 5.5 s as JSON, 123 MB; `--parts 1558` (6.7·10^6) 1.8 and 4.1 s.
+# The slowest allowed, m_1558 = 1 with m_700 = ⌊10^4299/700!⌋ (9.7·10^6), takes 2.2 s as
+# a table and 3.5 s as JSON, 116 MB; `--parts 1558` (6.7·10^6) 1.1 and 2.2 s.
 MAX_DERIVED_SEQ_DIGITS = 10 ** 7
 
 # `count` refuses a call whose step estimate passes this: n^1.5 for p(n),
@@ -58,8 +58,8 @@ MAX_COUNT_STEPS = 10 ** 7
 
 # `avg`, `avg-table` and `conjecture` fill the CountTable triangle, (n+1)(n+2)/2
 # ints of about 36 bytes: `avg --n 3000` fills 4.5·10^6 cells in 1.2–1.7 s and
-# 160 MB.  `avg-table` then builds n profiles and integrals (n = 1000: 1.8–2.3 s),
-# and `conjecture` runs it for every n up to its bound (200: 2.4–3.1 s).
+# 160 MB.  `avg-table` then builds n profiles over one lcm (n = 1000: 0.9–1.4 s),
+# and `conjecture` runs it for every n up to its bound (200: 1.2–2.4 s).
 MAX_TABLE_CELLS = 5 * 10 ** 6
 MAX_AVG_TABLE_N = 1000
 MAX_CONJECTURE_N = 200
@@ -241,14 +241,14 @@ def _cmd_derived_seq(args):
     p = _partition(args)
     digits = _refuse_all_orders(p)
     _refuse_over(digits, MAX_DERIVED_SEQ_DIGITS, "derived-seq would print up to {} digits")
-    rows, seq, dp = [], [], p
+    shown = Partition.to_json if args.format == "json" else str  # the printed form only
+    rows, dp = [], p
     for d in range(p.largest_part + 1):
         length, size = dp.length, dp.size
         _refuse_unprintable([size])  # size >= length; each m_i < 10^4300 already
-        rows.append({"order": d, "partition": str(dp), "length": str(length), "size": str(size)})
-        seq.append(dict(rows[-1], partition=dp.to_json()))
+        rows.append({"order": d, "partition": shown(dp), "length": str(length), "size": str(size)})
         dp = derived_partition(dp, 1)
-    return rows, {"partition": p.to_json(), "sequence": seq}, None
+    return rows, {"partition": rows[0]["partition"], "sequence": rows}, None
 
 
 def _cmd_integral(args):

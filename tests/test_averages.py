@@ -1,8 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+import partpoly.integrals
 from partpoly import (
     CountTable,
     DomainError,
@@ -179,6 +181,53 @@ def test_avg_equals_mean_of_integrals():
     for n in range(1, 21):
         for l in range(1, n + 1):
             assert avg(n, l) == _avg_by_enumeration(n, l)
+
+
+def test_avg_route_matches_integral_of_profile():
+    # each row shares lcm(2..n+1) and its n weights; the profile of ℓ has
+    # n − ℓ + 1 entries, all n of them only at ℓ = 1 (one at n = 1)
+    table = CountTable()
+    for n in range(1, 61):
+        values = avg_table(n, table).values
+        for l in range(1, n + 1):
+            expected = integral(multiplicity_profile(n, l))
+            assert values[l - 1] == avg(n, l) == expected
+            if n <= 12:
+                assert expected == _avg_by_enumeration(n, l)
+
+
+def test_avg_does_not_call_integral(monkeypatch):
+    def refuse(partition):
+        raise AssertionError("integral called")
+
+    # every partpoly module that binds integral, partpoly.integrals among them
+    for name, module in list(sys.modules.items()):
+        if name.startswith("partpoly") and getattr(module, "integral", None) is integral:
+            monkeypatch.setattr(module, "integral", refuse)
+    assert partpoly.integrals.integral is refuse
+    assert avg_table(30).values[3] == avg(30, 4) == _avg_by_enumeration(30, 4)
+
+
+def _b(m):
+    # B_m = (1/p(m))·Σ_{μ⊢m} Σ_i m_i·i/(2(i+2)), from enumeration
+    total = Fraction(0)
+    for mu in iter_partitions(m):
+        total += sum(Fraction(c * i, 2 * (i + 2)) for i, c in enumerate(mu.multiplicities, 1))
+    return total / count_partitions(m)
+
+
+def test_avg_when_length_covers_the_rest():
+    # ℓ >= m = n − ℓ: removing one from each part maps the partitions of n into
+    # ℓ parts onto all partitions μ of m, and each part i of μ lowers the
+    # integral sum by 1/2 − 1/(i + 2), so Avg(n, ℓ) = 1/2 − B_m/ℓ
+    b = [_b(m) for m in range(21)]
+    cells = 0
+    for n in range(1, 41):
+        values = avg_table(n).values
+        for l in range((n + 1) // 2, n + 1):
+            assert values[l - 1] == Fraction(1, 2) - b[n - l] / l
+            cells += 1
+    assert cells == 440
 
 
 def test_avg_table_small():
