@@ -3,8 +3,8 @@
 Rational values throughout the package are ``fractions.Fraction`` instances,
 which are arbitrary precision and always stored fully reduced with a positive
 denominator.  This module adds the string forms used on the wire ("num/den",
-or "num" for integers) and the memoized integer tables the calculus and
-averages code needs.
+or "num" for integers), the integer closed forms of S(d, j) and H_n, and the
+prime table, the package's one module-level cache.
 """
 
 import itertools
@@ -14,42 +14,27 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-# Triangle of Stirling numbers of the second kind; row d holds S(d, 0..d).
-_stirling_rows = [[1]]
-
-# harmonic[n] = H_n; harmonic[0] = 0 so indexing is direct.
-_harmonics = [Fraction(0)]
-
 _primes = [2, 3, 5, 7, 11, 13]
 
 
 def stirling2(d, j):
-    """Stirling number of the second kind S(d, j), memoized.
-
-    S(d+1, j) = j*S(d, j) + S(d, j-1); values with j > d are 0.
-    """
+    """Stirling number of the second kind S(d, j), by inclusion–exclusion
+    over surjections: (1/j!)·Σ_{i=0..j} (−1)^(j−i)·C(j, i)·i^d; 0 for j > d."""
     if d < 0 or j < 0:
         raise DomainError("stirling2 requires nonnegative arguments")
     if j > d:
         return 0
-    while len(_stirling_rows) <= d:
-        prev = _stirling_rows[-1]
-        n = len(_stirling_rows)  # building row n from row n-1
-        row = [0] * (n + 1)
-        for m in range(1, n):
-            row[m] = m * prev[m] + prev[m - 1]
-        row[n] = 1
-        _stirling_rows.append(row)
-    return _stirling_rows[d][j]
+    total = sum((-1) ** (j - i) * math.comb(j, i) * i ** d for i in range(j + 1))
+    return total // math.factorial(j)
 
 
 def harmonic(n):
-    """The n-th harmonic number H_n = 1 + 1/2 + ... + 1/n, exact."""
+    """The n-th harmonic number H_n = 1 + 1/2 + ... + 1/n, exact: one integer
+    sum Σ L/i over L = lcm(1..n), then one Fraction."""
     if n < 1:
         raise DomainError("harmonic requires n >= 1")
-    while len(_harmonics) <= n:
-        _harmonics.append(_harmonics[-1] + Fraction(1, len(_harmonics)))
-    return _harmonics[n]
+    lcm = math.lcm(*range(1, n + 1))
+    return Fraction(sum(lcm // i for i in range(1, n + 1)), lcm)
 
 
 def _extend_primes(count):
@@ -64,11 +49,12 @@ def _extend_primes(count):
 
 
 def nth_prime(i):
-    """The i-th prime, with nth_prime(1) = 2."""
+    """The i-th prime, with nth_prime(1) = 2; the table at least doubles when
+    it grows, so ascending calls sieve O(log i) times."""
     if i < 1:
         raise DomainError("nth_prime requires i >= 1")
     if i > len(_primes):
-        _extend_primes(i)
+        _extend_primes(max(i, 2 * len(_primes)))
     return _primes[i - 1]
 
 

@@ -92,8 +92,6 @@ class Partition:
             [a[i] + (b[i] if i < len(b) else 0) for i in range(len(a))]
         )
 
-    __add__ = oplus
-
     def to_json(self):
         return {"multiplicities": [str(m) for m in self._mults]}
 

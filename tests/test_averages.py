@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -20,11 +21,12 @@ from partpoly import (
     iter_partitions,
     multiplicity_profile,
 )
+from partpoly.cli import MAX_CONJECTURE_N
 
 
 def _profile_by_enumeration(n, length):
     # the ⊕-sum of every partition of n into `length` parts
-    return sum(iter_partitions(n, length), Partition())
+    return reduce(Partition.oplus, iter_partitions(n, length), Partition())
 
 
 def _avg_by_enumeration(n, length):
@@ -249,6 +251,13 @@ def test_check_conjecture_small():
     reports = check_conjecture(10)
     assert len(reports) == 10
     assert all(r.monotone for r in reports)
+
+
+def test_conjecture_holds_to_the_cli_limit():
+    # every n that `conjecture --max-n` accepts scans monotone
+    reports = check_conjecture(MAX_CONJECTURE_N)
+    assert len(reports) == MAX_CONJECTURE_N == 200
+    assert [n for n, r in enumerate(reports, 1) if not r.monotone] == []
 
 
 def test_avg2_closed_form_examples():

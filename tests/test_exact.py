@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt
@@ -20,7 +21,9 @@ from partpoly import (
 
 def _stirling_brute(d, j):
     # count set partitions of {1..d} into j nonempty blocks, by inclusion-
-    # exclusion over surjections: S(d, j) = (1/j!) Σ (-1)^t C(j,t) (j-t)^d
+    # exclusion over surjections: S(d, j) = (1/j!) Σ (-1)^t C(j,t) (j-t)^d;
+    # stirling2 computes this same sum, so the recurrence and the falling-
+    # factorial identity below are the independent checks
     if d == j == 0:
         return 1
     total = sum((-1) ** t * comb(j, t) * (j - t) ** d for t in range(j + 1))
@@ -48,7 +51,7 @@ def test_stirling_matches_inclusion_exclusion():
 
 
 def test_stirling_recurrence():
-    for d in range(1, 21):
+    for d in range(1, 41):
         for j in range(1, d + 1):
             assert stirling2(d + 1, j) == j * stirling2(d, j) + stirling2(d, j - 1)
 
@@ -82,6 +85,25 @@ def test_harmonic_difference():
         assert harmonic(n) - harmonic(n - 1) == Fraction(1, n)
 
 
+def test_harmonic_matches_fraction_sum():
+    total = Fraction(0)
+    for n in range(1, 301):
+        total += Fraction(1, n)
+        assert harmonic(n) == total, n
+
+
+def test_harmonic_holds_no_memory():
+    # harmonic keeps no table: nothing stays allocated once its value is dropped
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        harmonic(10 ** 4)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, held
+
+
 def test_harmonic_domain():
     with pytest.raises(DomainError):
         harmonic(0)
@@ -101,9 +123,26 @@ def test_nth_prime_matches_trial_division(monkeypatch):
     primes = [q for q in range(2, 17390) if all(q % r for r in range(2, isqrt(q) + 1))]
     assert len(primes) == 2000
     for i in range(1, 2001):
-        # a fresh cache, so that each i sizes its own sieve
         monkeypatch.setattr(exact, "_primes", [2, 3, 5, 7, 11, 13])
         assert nth_prime(i) == primes[i - 1], i
+    # nth_prime sizes the sieve for at least twice the table, so each count
+    # gets a sieve sized exactly for it only when asked directly
+    for count in range(7, 2001):
+        exact._extend_primes(count)
+        assert exact._primes[:count] == primes[:count], count
+
+
+def test_nth_prime_table_doubles(monkeypatch):
+    monkeypatch.setattr(exact, "_primes", [2, 3, 5, 7, 11, 13])
+    sieve, sieves = exact._extend_primes, []
+
+    def counted_sieve(count):
+        sieves.append(count)
+        sieve(count)
+
+    monkeypatch.setattr(exact, "_extend_primes", counted_sieve)
+    assert [nth_prime(i) for i in range(1, 200_001)][-1] == 2750159
+    assert len(sieves) <= 20, sieves
 
 
 def test_rational_strings():
