@@ -103,8 +103,8 @@ def avg2_closed_form(n):
 
 
 def avg3_lower_bound(n):
-    """Floating lower bound on Avg(n, 3); the only non-exact computation in
-    the package.
+    """Floating lower bound on Avg(n, 3); with `density`'s `length_log2`
+    annotation, one of the package's two non-exact values.
 
     Among all partitions of n into 3 parts there are at least ⌊(n−i)/2⌋
     parts of size i for 1 ≤ i ≤ n−2, and the linear function

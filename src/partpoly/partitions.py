@@ -185,6 +185,8 @@ def count_partitions(n, length=None):
     if length is not None:
         if length < 0 or length > n:
             return 0
+        if length == 0:  # p(n, 0) = [n = 0], before the DP builds n + 1 cells
+            return int(n == 0)
         n -= length
         if length < n:
             ways = [1] + [0] * n

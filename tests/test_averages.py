@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import sys
 from fractions import Fraction
@@ -21,7 +23,7 @@ from partpoly import (
     iter_partitions,
     multiplicity_profile,
 )
-from partpoly.cli import MAX_CONJECTURE_N
+from partpoly.cli import MAX_CONJECTURE_N, run
 
 
 def _profile_by_enumeration(n, length):
@@ -254,10 +256,17 @@ def test_check_conjecture_small():
 
 
 def test_conjecture_holds_to_the_cli_limit():
-    # every n that `conjecture --max-n` accepts scans monotone
-    reports = check_conjecture(MAX_CONJECTURE_N)
-    assert len(reports) == MAX_CONJECTURE_N == 200
-    assert [n for n, r in enumerate(reports, 1) if not r.monotone] == []
+    # every n that `conjecture --max-n` accepts scans monotone, read from the
+    # CLI's JSON: its verdict, each report's flag, and the values themselves
+    out = io.StringIO()
+    assert run(["conjecture", "--max-n", str(MAX_CONJECTURE_N), "--format", "json"], out=out) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["verdict"] is True
+    assert [r["n"] for r in doc["reports"]] == list(range(1, MAX_CONJECTURE_N + 1))
+    assert MAX_CONJECTURE_N == 200
+    for r in doc["reports"]:
+        values = [Fraction(v) for v in r["values"]]
+        assert r["monotone"] and values == sorted(values), r["n"]
 
 
 def test_avg2_closed_form_examples():

@@ -1,3 +1,5 @@
+import ast
+import contextlib
 import csv
 import hashlib
 import io
@@ -11,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import partpoly.search
 from partpoly import (
@@ -36,10 +38,11 @@ from partpoly.cli import (
     MAX_LARGEST_PART,
     MAX_TABLE_CELLS,
     MAX_VALUE_BITS,
+    PARTITION,
     build_parser,
     run,
 )
-from partpoly.density import plan
+from partpoly.density import DensityTrace, alpha_integral, plan
 from partpoly.exact import MAX_POWER_BITS
 
 
@@ -380,11 +383,14 @@ def test_count_large_n_is_fast():
     assert len(json.loads(text)["count"]) == 107  # p(10^4) ≈ 3.6·10^106
 
 
-@pytest.mark.parametrize("argv", [
+OVERSIZED_COUNT = [
     ["count", "--n", "100000"],
     ["count", "--n", "10000000", "--length", "1000"],
     ["count", "--n", "200000", "--length", "100000"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_COUNT)
 def test_oversized_count_exits_1(argv, capsys):
     start = time.perf_counter()
     status, text = _run(argv)
@@ -395,7 +401,8 @@ def test_oversized_count_exits_1(argv, capsys):
     assert str(MAX_COUNT_STEPS) in err
 
 
-@pytest.mark.parametrize("argv, limit", [
+# (argv, the limit its refusal names or None if admitted), here and below
+OVERSIZED_AVERAGES = [
     (["avg", "--n", "3160", "--length", "5"], None),
     (["avg", "--n", "3161", "--length", "5"], MAX_TABLE_CELLS),
     (["avg", "--n", "10000000000", "--length", "5"], MAX_TABLE_CELLS),
@@ -403,7 +410,10 @@ def test_oversized_count_exits_1(argv, capsys):
     (["avg-table", "--n", "10000000000"], MAX_AVG_TABLE_N),
     (["conjecture", "--max-n", str(MAX_CONJECTURE_N + 1)], MAX_CONJECTURE_N),
     (["conjecture", "--max-n", "10000000000"], MAX_CONJECTURE_N),
-])
+]
+
+
+@pytest.mark.parametrize("argv, limit", OVERSIZED_AVERAGES)
 def test_oversized_averages_exit_1(argv, limit, capsys, monkeypatch):
     # avg --n 3160 would fill 4,997,541 cells, the largest triangle allowed;
     # avg and the table are stubbed so that the check alone is timed
@@ -435,7 +445,7 @@ def test_print_limits_match_python_int_str_limit():
 NINES = "9" * MAX_DECIMAL_DIGITS
 
 
-@pytest.mark.parametrize("argv, limit", [
+OVERSIZED_PARTITION_WORK = [
     (["integral", "--parts", "1000000"], None),
     (["integral", "--parts", "2,1000001"], MAX_LARGEST_PART),
     (["poly", "--parts", "20000000", "--format", "json"], MAX_LARGEST_PART),
@@ -489,7 +499,10 @@ NINES = "9" * MAX_DECIMAL_DIGITS
     (["derived-seq", "--mults", ",".join(["1"] * 253)], None),  # 9,979,190 digits
     (["derived-seq", "--mults", ",".join(["1"] * 254)], MAX_DERIVED_SEQ_DIGITS),
     (["derived-seq", "--mults", ",".join(["1"] * 800), "--format", "json"], MAX_DERIVED_SEQ_DIGITS),
-])
+]
+
+
+@pytest.mark.parametrize("argv, limit", OVERSIZED_PARTITION_WORK)
 def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
     # the work after each check is stubbed so that the check alone is timed
     monkeypatch.setattr("partpoly.cli.integral", lambda p: Fraction(1, 2))
@@ -630,7 +643,7 @@ def test_derived_seq_walks_the_derivative_once():
     assert seq[399]["partition"]["multiplicities"] == [str(math.factorial(400))]
 
 
-@pytest.mark.parametrize("argv, allowed", [
+OVERSIZED_COLLIDE = [
     (["--n", "60", "--length", "5", "--order", "3"], True),  # 1,178,240 steps
     (["--n", "4473", "--length", "1", "--order", "1"], True),  # one partition, 2·k = 8,946
     (["--n", "1414", "--length", "1", "--order", "1414"], False),  # (k + 1)·k = 2,000,810
@@ -644,7 +657,10 @@ def test_derived_seq_walks_the_derivative_once():
     (["--n", "1000001", "--length", "1", "--order", "1"], False),
     (["--n", "159", "--length", "2", "--order", "159"], True),  # 79·159·158 = 1,984,638
     (["--n", "160", "--length", "2", "--order", "160"], False),  # 80·160·159 = 2,035,200
-])
+]
+
+
+@pytest.mark.parametrize("argv, allowed", OVERSIZED_COLLIDE)
 def test_oversized_collide_exits_1(argv, allowed, capsys, monkeypatch):
     monkeypatch.setattr(
         "partpoly.cli.collision_search", lambda n, l, d: CollisionReport(n, l, d, (), ())
@@ -949,3 +965,198 @@ def test_collide_takes_no_jobs(capsys):
             run(argv, out=io.StringIO())
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+# CLI calls that no other test makes with the same argv: (exit status, seconds
+# it may take).  A refusal (exit 1) prints one `error:` line.  <NINES> stands
+# for 10^4300 − 1, <ones:k> for a list of k ones.
+CLI_CALLS = {
+    "derivatives --parts 5,2,2,1 --at=-7/3": (0, 5),
+    "derivatives --parts 5,2,2,1 --at=-7/3 --decimal-digits 0": (0, 5),  # rounds negatives
+    "derivatives --parts 5,2,2,1 --at 1/3 --format json": (0, 5),
+    "poly --parts 5,2,2,1": (0, 5),
+    "integral --parts 5,2,2,1": (0, 5),
+    "derived-seq --parts 5,2,2,1": (0, 5),
+    "--format json derived-seq --parts 5,2,2,1": (0, 5),
+    "derived-seq --mults 1,0,3,1": (0, 5),
+    "avg --n 10 --length 3": (0, 5),
+    "avg-table --n 10": (0, 5),
+    "--format csv avg-table --n 10": (0, 5),
+    "avg-table --n 400": (0, 5),
+    "avg-table --n 1000": (0, 5),  # the largest allowed
+    "conjecture --max-n 20": (0, 5),
+    "density --target 1/3 --epsilon 1/10^6": (0, 5),
+    "collide --n 36 --length 6 --order 4": (0, 5),  # the README's PTE pair
+    "collide --n 1000000 --length 1 --order 1": (0, 5),  # 2·k = MAX_COLLIDE_STEPS
+    "count --n <NINES> --length 0": (0, 1),  # p(n, 0) = 0 builds no n + 1 cells
+    "stats --mults <ones:60000>": (1, 1),  # the supernorm bound reads 60,000 primes
+    "derived-seq --mults <ones:800>": (1, 1),
+}
+
+
+def _expand(token):
+    if token == "<NINES>":
+        return NINES
+    if token.startswith("<ones:"):
+        return ",".join(["1"] * int(token[6:-1]))
+    return token
+
+
+@pytest.mark.parametrize("call", list(CLI_CALLS))
+def test_cli_call(call, capsys):
+    expected, seconds = CLI_CALLS[call]
+    start = time.perf_counter()
+    status, text = _run([_expand(token) for token in call.split()])
+    assert time.perf_counter() - start < seconds
+    assert status == expected
+    if status == 0:
+        assert text
+    else:
+        err = capsys.readouterr().err
+        assert text == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+class _WorkStarted(Exception):
+    """Raised by a stubbed engine: the call passed every refusal."""
+
+
+def _work(*args, **kwargs):
+    raise _WorkStarted
+
+
+def _refuse_over_sites():
+    """The (first, last) lines of each `_refuse_over(...)` call in cli.py."""
+    tree = ast.parse(Path(partpoly.cli.__file__).read_text(encoding="utf-8"))
+    return sorted(
+        (node.lineno, node.end_lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refuse_over"
+    )
+
+
+def _full_partition_at(s):
+    """`density --full-partition` in JSON at the target α(s − 1): the first
+    edge index past it is s."""
+    target = format_rational(alpha_integral(s - 1))
+    return ["density", "--target", target, "--epsilon", "1/1000", "--full-partition", "--format", "json"]
+
+
+# The limits the tables above admit no call at: (n − ℓ)·ℓ = 10^7 for count
+BOUNDARY_ROWS = [
+    (["avg-table", "--n", str(MAX_AVG_TABLE_N)], None),
+    (["conjecture", "--max-n", str(MAX_CONJECTURE_N)], None),
+    (["count", "--n", "11000", "--length", "1000"], None),
+    (_full_partition_at(MAX_LARGEST_PART), None),
+    (_full_partition_at(MAX_LARGEST_PART + 1), MAX_LARGEST_PART),
+]
+
+
+def test_every_refusal_site_refuses_a_row_and_admits_its_boundary(monkeypatch):
+    # Every row of the refusal tables runs with the work after the checks
+    # stubbed to raise _WorkStarted; a count stays real up to collide's limit,
+    # as collide's own check counts.  A row that names a size limit must be
+    # refused by one `_refuse_over` call with that limit before any work, and
+    # any other row by none.  Every call site must refuse some row and admit
+    # one within 1% of its limit.
+    sites = _refuse_over_sites()
+    calls = []
+    refuse_over = partpoly.cli._refuse_over
+
+    def recorded(value, limit, message):
+        line = sys._getframe(1).f_lineno
+        calls.append((next(s for s in sites if s[0] <= line <= s[1]), value, limit))
+        refuse_over(value, limit, message)
+
+    def capped_count(n, length=None):
+        # m·min(m, ℓ) bounds both routes: (n − ℓ)·ℓ steps, or m^1.5 for p(m)
+        m = n - (length or 0)
+        if m * min(m, length or m) > MAX_COLLIDE_STEPS:
+            _work()
+        return count_partitions(n, length)
+
+    monkeypatch.setattr(partpoly.cli, "_refuse_over", recorded)
+    monkeypatch.setattr(partpoly.cli, "count_partitions", capped_count)
+    for name in ["poly_of", "derivative_values", "diff", "derived_partition", "integral",
+                 "avg", "avg_table", "check_conjecture", "CountTable", "collision_search"]:
+        monkeypatch.setattr(partpoly.cli, name, _work)
+    monkeypatch.setattr(Partition, "supernorm", _work)
+    monkeypatch.setattr(DensityTrace, "result", property(_work))
+    rows = (
+        [(argv, MAX_COUNT_STEPS) for argv in OVERSIZED_COUNT]
+        + OVERSIZED_AVERAGES
+        + OVERSIZED_PARTITION_WORK
+        + [(["collide", *argv], None if ok else MAX_COLLIDE_STEPS) for argv, ok in OVERSIZED_COLLIDE]
+        + BOUNDARY_ROWS
+    )
+    limits, refused, admitted = {}, set(), {}
+    for argv, limit in rows:
+        calls.clear()
+        try:
+            status = _run(argv)[0]
+        except _WorkStarted:
+            status = "work"
+        over = [l for _, v, l in calls if v > l]
+        shown = " ".join(argv)[:80]
+        if limit is None:
+            assert status in (0, "work") and over == [], shown
+        elif limit in (MAX_DECIMAL_DIGITS, MAX_POWER_BITS):  # a print check's refusal
+            assert over == [], shown
+        else:
+            assert status == 1 and over == [limit], shown
+        for site, value, l in calls:
+            limits[site] = l
+            if value > l:
+                refused.add(site)
+            else:
+                admitted[site] = max(value, admitted.get(site, value))
+    assert sorted(refused) == sites
+    near = [site for site in sites if 100 * admitted.get(site, 0) >= 99 * limits[site]]
+    assert near == sites
+
+
+# Most flags take integers, so half the values drawn are one.
+FUZZ_INTS = st.sampled_from([str(v) for v in (-7, -1, 0, 1, 2, 5, 10 ** 8, 10 ** 100)] + [NINES])
+FUZZ_VALUES = FUZZ_INTS | st.sampled_from([
+    "1/3", "1/0", "nan", "inf", "1e400", "1e-400", "0x10", "=-7/3", "1/10^5000", "2^20000", "", ",",
+]) | st.lists(FUZZ_INTS, min_size=2, max_size=3).map(",".join)
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    """A subcommand and, in any order, most of its flags and some global ones,
+    each with a value from an adversarial alphabet (=v joins its flag)."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    flags = [flag for flag in ("--format", "--decimal-digits") if draw(st.integers(0, 3)) == 0]
+    for spec in COMMANDS[name][2]:
+        if draw(st.integers(0, 7)) == 0:
+            continue
+        if spec is PARTITION:
+            flags.append(draw(st.sampled_from([flag for flag, _ in PARTITION])))
+        else:
+            flags.append(spec if isinstance(spec, str) else spec[0])
+    argv = [name]
+    for flag in draw(st.permutations(flags)):
+        if flag == "--full-partition":
+            argv.append(flag)
+            continue
+        value = draw(st.sampled_from(["table", "csv", "json"]) if flag == "--format" else FUZZ_VALUES)
+        argv += [flag + value] if value.startswith("=") else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@example(["count", "--n", NINES, "--length", "0"])
+@given(_fuzzed_argv())
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    # exit 0, exit 1 with one `error:` line, or a usage error: no traceback
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        try:
+            status = run(argv, out=io.StringIO())
+        except SystemExit as exc:
+            status = f"usage {exc.code}"
+    assert time.perf_counter() - start < 5
+    assert status in (0, 1, "usage 2")
+    if status == 1:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -222,6 +224,14 @@ def test_count_edge_cases():
     assert count_partitions(5, 7) == 0
     with pytest.raises(DomainError):
         count_partitions(-1)
+
+
+def test_count_no_parts_builds_nothing():
+    # p(n, 0) = [n = 0]; the coin DP had built n + 1 cells first: 10^12 ended
+    # in a MemoryError, 10^4300 − 1 in an OverflowError
+    start = time.perf_counter()
+    assert count_partitions(10 ** 12, 0) == count_partitions(10 ** 4300 - 1, 0) == 0
+    assert time.perf_counter() - start < 1
 
 
 def test_count_matches_count_table():
