@@ -22,6 +22,7 @@ from .search import collision_search
 # Python refuses int -> str conversions past 4300 digits by default (see
 # sys.set_int_max_str_digits), so more decimal places could never be printed.
 MAX_DECIMAL_DIGITS = 4300
+_PRINT_BOUND = 10 ** MAX_DECIMAL_DIGITS  # the least integer that cannot print
 
 # A partition holds one multiplicity per part size 1..k, about 80 bytes of
 # memory and 11 of JSON apiece: `--parts` with a larger part, and `density
@@ -43,7 +44,7 @@ MAX_DERIVATIVE_STEPS = 10 ** 7
 # degree-K polynomial (K = k for all orders, k − d for `--order d`) makes values
 # of about K·log2 max(|p|, q) bits, or a max(|p|, q)^K of more than
 # MAX_DECIMAL_DIGITS digits, unless terms cancel or share factors with q.
-MAX_VALUE_BITS = (10 ** MAX_DECIMAL_DIGITS).bit_length() - 1
+MAX_VALUE_BITS = _PRINT_BOUND.bit_length() - 1
 
 # `derived-seq` prints each m_i ≠ 0 in λ^(0..i−1), about k³ digits for k ones (800:
 # 332 MB in 11.8 s, 459 MB RSS), so it refuses a bound on those digits past this first.
@@ -57,7 +58,7 @@ MAX_DERIVED_SEQ_DIGITS = 10 ** 7
 MAX_COUNT_STEPS = 10 ** 7
 
 # `avg`, `avg-table` and `conjecture` fill the CountTable triangle, (n+1)(n+2)/2
-# ints of about 36 bytes: `avg --n 3000` fills 4.5·10^6 cells in 1.2–1.7 s and
+# ints of about 36 bytes: `avg --n 3000` fills 4.5·10^6 cells in 0.9–1.4 s and
 # 160 MB.  `avg-table` then builds n profiles over one lcm (n = 1000: 0.9–1.4 s),
 # and `conjecture` runs it for every n up to its bound (200: 1.2–2.4 s).
 MAX_TABLE_CELLS = 5 * 10 ** 6
@@ -87,28 +88,24 @@ def _int_list(text):
         ) from None
 
 
-def _int_in(low, high):
-    """An argparse type for an integer in [low, high]."""
-
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
-        return value
-
-    return parse
+def _decimal_digits(text):
+    """The --decimal-digits type: an integer in [0, MAX_DECIMAL_DIGITS]."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value > MAX_DECIMAL_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DECIMAL_DIGITS}, got {value}")
+    return value
 
 
 def _refuse_over(value, limit, message):
     """Refuse a call whose size estimate passes its limit, before any work; an
     estimate too long to print shows as the power of 2 at or below it."""
     if value > limit:
-        if value >= 10 ** MAX_DECIMAL_DIGITS:
+        if value >= _PRINT_BOUND:
             value = f"2^{value.bit_length() - 1}"
         raise DomainError(f"{message.format(value)}; the limit is {limit}")
 
@@ -116,8 +113,7 @@ def _refuse_over(value, limit, message):
 def _refuse_unprintable(values, what="a result"):
     """Refuse exact values before any is formatted if one has a numerator or
     denominator of more than MAX_DECIMAL_DIGITS digits."""
-    bound = 10 ** MAX_DECIMAL_DIGITS
-    if any(abs(v.numerator) >= bound or v.denominator >= bound for v in values):
+    if any(abs(v.numerator) >= _PRINT_BOUND or v.denominator >= _PRINT_BOUND for v in values):
         raise DomainError(f"{what} would pass {MAX_DECIMAL_DIGITS} digits")
 
 
@@ -135,11 +131,11 @@ def _refuse_all_orders(p):
     at the latest.  Returns an upper bound on the digits of the multiplicities
     `derived-seq` prints: each m_i ≠ 0 appears in λ^(0), ..., λ^(i−1), each time
     as ((j + d)!/j!)·m_i <= i!·m_i, and log10(2) < 0.30103."""
-    bound, factorial, digits = 10 ** MAX_DECIMAL_DIGITS, 1, 0
+    factorial, digits = 1, 0
     for i, m in enumerate(p.multiplicities, 1):
         factorial *= i
         value = factorial * max(m, 1)
-        if value >= bound:
+        if value >= _PRINT_BOUND:
             raise DomainError(f"all orders would print {i}!·m_{i}, past {MAX_DECIMAL_DIGITS} digits")
         if m:
             digits += i * (value.bit_length() * 30103 // 100000 + 1)
@@ -220,7 +216,7 @@ def _cmd_derivatives(args):
     degree = max(k - (d or 0), 0)  # of f^(d), or of f itself for all orders
     base = max(abs(x.numerator), x.denominator)
     bits = degree * (base.bit_length() - 1)  # floored: 3^K reads as 2^K
-    if bits <= MAX_VALUE_BITS and base ** degree >= 10 ** MAX_DECIMAL_DIGITS:
+    if bits <= MAX_VALUE_BITS and base ** degree >= _PRINT_BOUND:
         bits = (base ** degree).bit_length()  # > MAX_VALUE_BITS, as 2^14285 > 10^4300
     _refuse_over(bits, MAX_VALUE_BITS, "the value at --at would have about {} bits")
     values = derivative_values(p, x) if d is None else [evaluate(diff(poly_of(p), d), x)]
@@ -336,15 +332,15 @@ def _cmd_density(args):
     # Every rational printed past the inputs, up to the last error bound and
     # achieved_error = |a + (b − a)·v/2^r − c|, has a denominator dividing
     # lcm(den(a), den(c), den(bound)): refuse one past the print limit before
-    # the trace, which holds about r bits per step r.  At 1/3, `--epsilon
-    # 1/10^5000` ran 6.8 s into the print limit and 1/10^30000 49 s into a
-    # MemoryError (3 GB cap); a target with a 4,200-digit denominator at
-    # `--epsilon 1/10^4000` ran 5.3 s.  The largest allowed prints 185 MB in 6.6 s.
+    # the trace, which holds about r bits per step r.  A target with a
+    # 4,200-digit denominator at `--epsilon 1/10^4000` ran 5.3 s into the print
+    # limit; the largest allowed prints 185 MB in 6.6 s.  (An epsilon that could
+    # not print itself, such as 1/10^5000, is refused as it is parsed.)
     s, last = plan(c, epsilon)  # validates c and epsilon
     a, b = alpha_integral(s), beta_integral(s)
     bound = (b - a) / 2 ** last
-    if math.lcm(a.denominator, c.denominator, bound.denominator) >= 10 ** MAX_DECIMAL_DIGITS:
-        raise DomainError(f"the last error's denominator would pass {MAX_DECIMAL_DIGITS} digits")
+    _refuse_unprintable([math.lcm(a.denominator, c.denominator, bound.denominator)],
+                        "the last error's denominator")
     trace = approximate(c, epsilon)
     full_partition = args.full_partition and args.format == "json"  # only JSON prints it
     if full_partition:
@@ -454,7 +450,7 @@ def _global_flags(parser, suppress):
     )
     parser.add_argument(
         "--decimal-digits",
-        type=_int_in(0, MAX_DECIMAL_DIGITS),
+        type=_decimal_digits,
         default=argparse.SUPPRESS if suppress else 12,
         metavar="K",
         help="places for decimal annotation columns (default: 12)",

@@ -149,14 +149,13 @@ class CountTable:
         self._rows = [[1]]  # _rows[n][l] = p(n, l) for 0 <= l <= n
 
     def ensure(self, n_max):
-        while len(self._rows) <= n_max:
-            n = len(self._rows)
-            row = [0] * (n + 1)
-            for l in range(1, n + 1):
-                row[l] = self._rows[n - 1][l - 1]
-                if l <= n - l:
-                    row[l] += self._rows[n - l][l]
-            self._rows.append(row)
+        rows = self._rows
+        while len(rows) <= n_max:
+            n = len(rows)
+            row = [0, *rows[n - 1]]  # p(n − 1, ℓ − 1): remove a part 1
+            for l in range(1, n // 2 + 1):
+                row[l] += rows[n - l][l]  # p(n − ℓ, ℓ): take 1 from each part
+            rows.append(row)
 
     def count(self, n, length=None):
         """p(n) or p(n, length)."""

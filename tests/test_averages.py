@@ -234,6 +234,16 @@ def test_avg_when_length_covers_the_rest():
     assert cells == 440
 
 
+def test_upper_half_of_every_row_to_n_1000_is_monotone():
+    # Avg(n, ℓ) = 1/2 − B_{n−ℓ}/ℓ for ℓ >= n/2 (above), and B_m >= 0, so a
+    # nondecreasing B_0..B_500 gives Avg(n, ℓ) <= Avg(n, ℓ + 1) for every ℓ >= n/2
+    # with n − ℓ <= 500: the upper half of every row with n <= 1000
+    table = CountTable()
+    b = [m * (Fraction(1, 2) - avg(2 * m, m, table)) for m in range(1, 501)]
+    assert b[:8] == [_b(m) for m in range(1, 9)]
+    assert 0 < b[0] and b == sorted(b)
+
+
 def test_avg_table_small():
     report = avg_table(3)
     assert report.values == (Fraction(1, 4), Fraction(5, 12), Fraction(1, 2))

@@ -1,8 +1,10 @@
 import ast
 import contextlib
 import csv
+import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -11,13 +13,17 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import partpoly.search
 from partpoly import (
+    AvgReport,
     CollisionReport,
+    DensityTrace,
+    DomainError,
     Partition,
     approximate,
     collision_search,
@@ -25,6 +31,7 @@ from partpoly import (
     deriv_recursive_eval,
     format_rational,
     iter_partitions,
+    poly_of,
 )
 from partpoly.cli import (
     COMMANDS,
@@ -42,7 +49,7 @@ from partpoly.cli import (
     build_parser,
     run,
 )
-from partpoly.density import DensityTrace, alpha_integral, plan
+from partpoly.density import alpha_integral, plan
 from partpoly.exact import MAX_POWER_BITS
 
 
@@ -383,52 +390,301 @@ def test_count_large_n_is_fast():
     assert len(json.loads(text)["count"]) == 107  # p(10^4) ≈ 3.6·10^106
 
 
-OVERSIZED_COUNT = [
-    ["count", "--n", "100000"],
-    ["count", "--n", "10000000", "--length", "1000"],
-    ["count", "--n", "200000", "--length", "100000"],
+# 10^4300 − 1, the largest integer Python prints by default
+NINES = "9" * MAX_DECIMAL_DIGITS
+NEGATIVE_ORDER = "error: derivative order must be nonnegative\n"
+BAD_ORDER = "error: need order >= 1\n"
+
+
+def _full_partition_at(s):
+    """`density --full-partition` in JSON at the target α(s − 1): the first
+    edge index past it is s."""
+    target = format_rational(alpha_integral(s - 1))
+    return ["density", "--target", target, "--epsilon", "1/1000", "--full-partition", "--format", "json"]
+
+
+# Every CLI refusal, and for each size limit a call admitted within 1% of it:
+# (argv, expected, real).  expected is the limit the one `error:` line names,
+# the exact stderr, or None for a call that exits 0.  A row runs with the
+# engines stubbed, unless real: its refusal follows the work, or is
+# collision_search's own.  REFUSALS opens with the limits on a partition's
+# work, print size and estimates, which test_oversized_partition_work_exits_1
+# runs; test_refusal runs the other rows.
+PARTITION_WORK = [
+    (["integral", "--parts", "1000000"], None, False),
+    (["integral", "--parts", "2,1000001"], MAX_LARGEST_PART, False),
+    (["poly", "--parts", "20000000", "--format", "json"], MAX_LARGEST_PART, False),
+    (["derivatives", "--parts", "1558,1"], None, False),
+    (["derivatives", "--parts", "1559"], MAX_DECIMAL_DIGITS, False),
+    (["derivatives", "--parts", "1559", "--order", "3"], None, False),
+    (["derived-seq", "--parts", "1558"], None, False),
+    (["derived-seq", "--mults", ",".join(["0"] * 1558 + ["1"])], MAX_DECIMAL_DIGITS, False),
+    (["stats", "--mults", str(MAX_VALUE_BITS)], None, False),
+    (["stats", "--mults", str(MAX_VALUE_BITS + 1)], MAX_VALUE_BITS, False),
+    (["stats", "--mults", "0,0,0,0,0,0,0,0,0,30000000"], MAX_VALUE_BITS, False),
+    (["derivatives", "--parts", "20000", "--order", "500"], None, False),  # d·k = 10^7
+    (["derivatives", "--parts", "20000", "--order", "501"], MAX_DERIVATIVE_STEPS, False),
+    (["derivatives", "--parts", "1000000", "--order", "500000", "--at", "0"], MAX_DERIVATIVE_STEPS,
+     False),
+    # K·⌊log2 max(|p|, q)⌋ for the degree K evaluated at p/q
+    (["derivatives", "--parts", "1,14284", "--order", "0", "--at", "1/2"], None, False),
+    (["derivatives", "--parts", "1,14285", "--order", "0", "--at", "1/2"], MAX_VALUE_BITS, False),
+    (["derivatives", "--parts", "14385", "--order", "100", "--at=-3/2"], MAX_VALUE_BITS, False),
+    (["derivatives", "--parts", "1558", "--at", "1/2^9"], None, False),  # 1558·9 = 14,022
+    (["derivatives", "--parts", "1,64000", "--order", "0", "--at", "1/3"], MAX_VALUE_BITS, False),
+    (["derivatives", "--parts", "100", "--at", "1/10^1000"], MAX_VALUE_BITS, False),
+    (["derivatives", "--parts", "300", "--at", "1/10^3000"], MAX_VALUE_BITS, False),
+    (["derivatives", "--parts", "300", "--order", "301", "--at", "1/10^3000"], None, False),
+    # the floor reads 3^K as 2^K, so max(|p|, q)^K is also checked for digits
+    (["derivatives", "--parts", "1,9013", "--order", "0", "--at", "1/3"], MAX_VALUE_BITS, False),
+    (["derivatives", "--parts", "1,14284", "--order", "0", "--at", "1/3"], MAX_VALUE_BITS, False),
+    # all orders print every i!·m_i: 1400!·10^2000 and 1000!·10^2000 pass 10^4300
+    (["derivatives", "--mults", ",".join(["0"] * 1399 + [str(10 ** 2000)])], MAX_DECIMAL_DIGITS,
+     False),
+    (["derived-seq", "--mults", ",".join(["0"] * 1399 + [str(10 ** 2000)])], MAX_DECIMAL_DIGITS,
+     False),
+    (["derivatives", "--mults", ",".join(["0"] * 999 + [str(10 ** 2000)] + ["0"] * 399 + ["1"])],
+     MAX_DECIMAL_DIGITS, False),
+    # a zero m_i counts as 1, so the check ends by i = 1559 under any largest part
+    (["derived-seq", "--parts", "1,1000000"], MAX_DECIMAL_DIGITS, False),
+    # an estimate past the print limit is shown as a power of 2
+    (["count", "--n", NINES], MAX_COUNT_STEPS, False),
+    (["avg", "--n", NINES, "--length", "2"], MAX_TABLE_CELLS, False),
+    (["collide", "--n", NINES, "--length", "2", "--order", "1"], MAX_COLLIDE_STEPS, False),
+    (["stats", "--mults", "1," + NINES], MAX_VALUE_BITS, False),
+    # the value 0 prints, but --at itself is printed back (see --at 1/10^3000 above)
+    (["derivatives", "--parts", "300", "--order", "301", "--at", "1/10^5000"], MAX_DECIMAL_DIGITS,
+     False),
+    (["derivatives", "--parts", "300", "--order", "301", "--at", "1e-5000"], MAX_DECIMAL_DIGITS,
+     False),
+    # an exponent is capped as 10^|e| is, before Fraction builds the power
+    (["derivatives", "--parts", "3", "--at", "1e-9999999"], MAX_POWER_BITS, False),
+    # the supernorm is checked for digits once built: 5^6151 has 4,300, 5^6152 4,301
+    (["stats", "--mults", "0,0,6151"], None, False),
+    (["stats", "--mults", "0,0,6152"], MAX_DECIMAL_DIGITS, False),
+    (["stats", "--mults", "0,0,6152", "--format", "json"], MAX_DECIMAL_DIGITS, False),
+    (["stats", "--mults", "0,0,7142"], MAX_DECIMAL_DIGITS, False),
+    (["stats", "--mults", "0,0,7142", "--format", "json"], MAX_DECIMAL_DIGITS, False),
+    # derived-seq prints each m_i ≠ 0 i times, at most i!·m_i: k ones print about k³ digits
+    (["derived-seq", "--mults", ",".join(["1"] * 253)], None, False),  # 9,979,190 digits
+    (["derived-seq", "--mults", ",".join(["1"] * 254)], MAX_DERIVED_SEQ_DIGITS, False),
+    (["derived-seq", "--mults", ",".join(["1"] * 800), "--format", "json"], MAX_DERIVED_SEQ_DIGITS,
+     False),
+]
+REFUSALS = [
+    *PARTITION_WORK,
+    (["count", "--n", "100000"], MAX_COUNT_STEPS, False),
+    (["count", "--n", "10000000", "--length", "1000"], MAX_COUNT_STEPS, False),
+    (["count", "--n", "200000", "--length", "100000"], MAX_COUNT_STEPS, False),
+    (["count", "--n", "11000", "--length", "1000"], None, False),  # (n − ℓ)·ℓ = 10^7
+    # avg --n 3160 would fill 4,997,541 cells, the largest triangle allowed
+    (["avg", "--n", "3160", "--length", "5"], None, False),
+    (["avg", "--n", "3161", "--length", "5"], MAX_TABLE_CELLS, False),
+    (["avg", "--n", "10000000000", "--length", "5"], MAX_TABLE_CELLS, False),
+    (["avg-table", "--n", str(MAX_AVG_TABLE_N)], None, False),
+    (["avg-table", "--n", str(MAX_AVG_TABLE_N + 1)], MAX_AVG_TABLE_N, False),
+    (["avg-table", "--n", "10000000000"], MAX_AVG_TABLE_N, False),
+    (["conjecture", "--max-n", str(MAX_CONJECTURE_N)], None, False),
+    (["conjecture", "--max-n", str(MAX_CONJECTURE_N + 1)], MAX_CONJECTURE_N, False),
+    (["conjecture", "--max-n", "10000000000"], MAX_CONJECTURE_N, False),
+    (["stats", "--mults", ",".join(["1"] * 60000)], MAX_VALUE_BITS, False),  # reads 60,000 primes
+    # refused before the value estimate, whose degree k − d grows as d goes negative
+    (["derivatives", "--parts", "5", "--order", "-1", "--at", "1"], NEGATIVE_ORDER, False),
+    (["derivatives", "--parts", "5", "--order", "-1", "--at", "1/3"], NEGATIVE_ORDER, False),
+    (["derivatives", "--parts", "5", "--order", "-100000", "--at", "1"], NEGATIVE_ORDER, False),
+    (["derivatives", "--parts", "5", "--order", "-100000", "--at", "1/3"], NEGATIVE_ORDER, False),
+    (["derived-seq", "--mults", ",".join(["1"] * 800)], MAX_DERIVED_SEQ_DIGITS, False),
+    # the values are checked once computed
+    (["integral", "--mults", ",".join(["1"] * 10000)], MAX_DECIMAL_DIGITS, True),  # (H_10001 − 1)/10000
+    (["derivatives", "--order", "1", "--mults", "1," + NINES], MAX_DECIMAL_DIGITS, True),  # 1 + 2·m_2
+    (["derivatives", "--order", "0", "--at", "1/2", "--mults", f"{NINES},{NINES}"], MAX_DECIMAL_DIGITS,
+     True),
+    # each i!·m_i prints, but f(1) = m_1 + m_2 and λ^(0)'s length do not
+    (["derivatives", "--mults", f"{NINES},{10 ** 4299}"], MAX_DECIMAL_DIGITS, True),
+    (["derived-seq", "--mults", f"{NINES},{10 ** 4299}"], MAX_DECIMAL_DIGITS, True),
+    # density prints epsilon back, so one that could not print is refused as it
+    # is parsed, before the steps (the last two stop at step 1)
+    (["density", "--target", "1/3", "--epsilon", "1/10^5000"], MAX_DECIMAL_DIGITS, False),
+    (["density", "--target", "1/3", "--epsilon", "1/10^30000"], MAX_DECIMAL_DIGITS, False),
+    (["density", "--target", "1/3", "--epsilon", "2^20000/3^9100"], MAX_DECIMAL_DIGITS, False),
+    (["density", "--target", "1/3", "--epsilon", "1e5000"], MAX_DECIMAL_DIGITS, False),
+    # the bound 3/(20·2^r) prints, but achieved_error carries the target's
+    # 4,201-digit denominator too, and the steps ran 5.3 s before the print
+    (["density", "--target", format_rational(Fraction(1, 3) + Fraction(1, 10 ** 4200)),
+      "--epsilon", f"1/{10 ** 4000}"], "error: the last error's denominator would pass 4300 digits\n",
+     False),
+    (["density", "--target", "1/3", "--epsilon", "1/10^999999999"], MAX_POWER_BITS, False),
+    (_full_partition_at(MAX_LARGEST_PART), None, False),
+    (_full_partition_at(MAX_LARGEST_PART + 1), MAX_LARGEST_PART, False),
+    (["density", "--target", "1e-9", "--epsilon", "1/10^12", "--full-partition", "--format", "json"],
+     MAX_LARGEST_PART, False),
+    (["collide", "--n", "60", "--length", "5", "--order", "3"], None, False),  # 1,178,240 steps
+    (["collide", "--n", "4473", "--length", "1", "--order", "1"], None, False),  # 2·k = 8,946
+    (["collide", "--n", "1414", "--length", "1", "--order", "1414"], MAX_COLLIDE_STEPS, False),
+    (["collide", "--n", "200", "--length", "10", "--order", "2"], MAX_COLLIDE_STEPS, False),
+    (["collide", "--n", "10000000000", "--length", "5", "--order", "2"], MAX_COLLIDE_STEPS, False),
+    # counting these p(n, ℓ) would take 2.5·10^11 steps: the parts <= 2 bound refuses first
+    (["collide", "--n", "1000000", "--length", "499999", "--order", "2"], MAX_COLLIDE_STEPS, False),
+    (["collide", "--n", "1413", "--length", "1", "--order", "1413"], None, False),  # 1,997,982
+    (["collide", "--n", "1414", "--length", "1", "--order", "5000"], MAX_COLLIDE_STEPS, False),
+    (["collide", "--n", "1000000", "--length", "1", "--order", "1"], None, False),  # 2·k = 2·10^6
+    (["collide", "--n", "1000001", "--length", "1", "--order", "1"], MAX_COLLIDE_STEPS, False),
+    (["collide", "--n", "159", "--length", "2", "--order", "159"], None, False),  # 1,984,638
+    (["collide", "--n", "160", "--length", "2", "--order", "160"], MAX_COLLIDE_STEPS, False),
+    # d <= −1 made the estimates' factor (min(d, k) + 1)·k <= 0, so p(400000,
+    # 200000) was counted (11 s) before collision_search refused
+    (["collide", "--n", "400000", "--length", "200000", "--order", "0"], BAD_ORDER, True),
+    (["collide", "--n", "400000", "--length", "200000", "--order", "-1"], BAD_ORDER, True),
+    (["collide", "--n", "400000", "--length", "200000", "--order", "-7"], BAD_ORDER, True),
 ]
 
 
-@pytest.mark.parametrize("argv", OVERSIZED_COUNT)
-def test_oversized_count_exits_1(argv, capsys):
-    start = time.perf_counter()
-    status, text = _run(argv)
-    assert status == 1 and text == ""
-    assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert str(MAX_COUNT_STEPS) in err
+def _row_id(argv):
+    """A row's argv as its test id: a run of k equal list items shows as
+    item*k, and an item of over 24 characters as its first one and length."""
+    shown = []
+    for token in argv:
+        runs = [(x if len(x) <= 24 else f"{x[0]}<{len(x)}>", len(list(run)))
+                for x, run in itertools.groupby(token.split(","))]
+        shown.append(",".join(x if k == 1 else f"{x}*{k}" for x, k in runs))
+    return " ".join(shown)
 
 
-# (argv, the limit its refusal names or None if admitted), here and below
-OVERSIZED_AVERAGES = [
-    (["avg", "--n", "3160", "--length", "5"], None),
-    (["avg", "--n", "3161", "--length", "5"], MAX_TABLE_CELLS),
-    (["avg", "--n", "10000000000", "--length", "5"], MAX_TABLE_CELLS),
-    (["avg-table", "--n", str(MAX_AVG_TABLE_N + 1)], MAX_AVG_TABLE_N),
-    (["avg-table", "--n", "10000000000"], MAX_AVG_TABLE_N),
-    (["conjecture", "--max-n", str(MAX_CONJECTURE_N + 1)], MAX_CONJECTURE_N),
-    (["conjecture", "--max-n", "10000000000"], MAX_CONJECTURE_N),
-]
+CHECKS = ("_refuse_over", "_refuse_unprintable", "_refuse_all_orders")
 
 
-@pytest.mark.parametrize("argv, limit", OVERSIZED_AVERAGES)
-def test_oversized_averages_exit_1(argv, limit, capsys, monkeypatch):
-    # avg --n 3160 would fill 4,997,541 cells, the largest triangle allowed;
-    # avg and the table are stubbed so that the check alone is timed
-    monkeypatch.setattr("partpoly.cli.avg", lambda *args: Fraction(1, 2))
-    monkeypatch.setattr("partpoly.cli.CountTable.count", lambda *args: 0)
-    start = time.perf_counter()
-    status, text = _run(argv)
-    assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    if limit is None:
+@functools.cache
+def _refusal_sites():
+    """(helper, first line, last line) of each refusal call in cli.py."""
+    tree = ast.parse(Path(partpoly.cli.__file__).read_text(encoding="utf-8"))
+    return frozenset(
+        (node.func.id, node.lineno, node.end_lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in CHECKS
+    )
+
+
+# What each stubbed engine returns, harmless and of the type the CLI expects
+STAND_INS = {
+    "avg": lambda n, length, table: Fraction(1, 2),
+    "avg_table": lambda n, table: AvgReport(n, (), True, None),
+    "check_conjecture": lambda n_max, progress: [],
+    "CountTable": lambda: SimpleNamespace(count=lambda n, length=None: 0),
+    "collision_search": lambda n, length, order: CollisionReport(n, length, order, (), ()),
+    "integral": lambda p: Fraction(1, 2),
+    "derivative_values": lambda p, x: [Fraction(0)],
+    "diff": lambda coeffs, order: (),
+    "derived_partition": lambda p, order: Partition(),
+    "poly_of": poly_of,  # real but recorded, as Partition.supernorm is
+}
+
+
+@functools.cache  # the site test reads the runs that the row tests made
+def _refusal_run(i):
+    """Run row i of REFUSALS: (status, stdout, stderr, seconds, engines,
+    checks).  engines names each engine called, and checks holds (site,
+    value, limit, refused) for each refusal call, value and limit for
+    `_refuse_over` only."""
+    argv, _, real = REFUSALS[i]
+    sites, engines, checks = _refusal_sites(), [], []
+
+    def spy(name, helper):
+        def check(*args):
+            line = sys._getframe(1).f_lineno
+            site = next(s for s in sites if s[0] == name and s[1] <= line <= s[2])
+            sizes = args[:2] if name == "_refuse_over" else (None, None)
+            try:
+                result = helper(*args)
+            except DomainError:
+                checks.append((site, *sizes, True))
+                raise
+            checks.append((site, *sizes, False))
+            return result
+
+        return check
+
+    def record(name, stand_in):
+        def engine(*args, **kwargs):
+            engines.append(name)
+            return stand_in(*args, **kwargs)
+
+        return engine
+
+    def count(n, length=None):
+        # real up to collide's limit, as collide's own check counts: m·min(m, ℓ)
+        # bounds both routes, (n − ℓ)·ℓ steps or m^1.5 for p(m)
+        m = n - (length or 0)
+        if m * min(m, length or m) <= MAX_COLLIDE_STEPS:
+            return count_partitions(n, length)
+        engines.append("count_partitions")
+        return 0
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+        for name in CHECKS:
+            patch.setattr(partpoly.cli, name, spy(name, getattr(partpoly.cli, name)))
+        if not real:
+            for name, stand_in in STAND_INS.items():
+                patch.setattr(partpoly.cli, name, record(name, stand_in))
+            patch.setattr(partpoly.cli, "count_partitions", count)
+            patch.setattr(Partition, "supernorm", record("supernorm", Partition.supernorm))
+            patch.setattr(DensityTrace, "result", property(record("result", lambda trace: Partition())))
+        start = time.perf_counter()
+        status, text = _run(argv)
+        seconds = time.perf_counter() - start
+    return status, text, err.getvalue(), seconds, tuple(engines), tuple(checks)
+
+
+def _check_refusal(i):
+    """Check row i of REFUSALS.  A size limit's row is refused by one
+    `_refuse_over` call with that limit before any engine runs; a print
+    limit's by none."""
+    argv, expected, _ = REFUSALS[i]
+    status, text, err, seconds, engines, checks = _refusal_run(i)
+    assert seconds < 1
+    if expected is None:
         assert status == 0 and err == ""
+        assert argv[0] != "collide" or text == "no collisions\n"
         return
     assert status == 1 and text == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert str(limit) in err
+    if isinstance(expected, str):
+        assert err == expected
+        return
+    assert str(expected) in err
+    over = [limit for site, _, limit, refused in checks if refused and site[0] == "_refuse_over"]
+    if expected in (MAX_DECIMAL_DIGITS, MAX_POWER_BITS):
+        assert over == []
+    else:
+        assert over == [expected] and engines == ()
+
+
+@pytest.mark.parametrize("i", range(len(PARTITION_WORK)),
+                         ids=[f"argv{i}-{row[1]}" for i, row in enumerate(PARTITION_WORK)])
+def test_oversized_partition_work_exits_1(i):
+    _check_refusal(i)
+
+
+@pytest.mark.parametrize("i", range(len(PARTITION_WORK), len(REFUSALS)),
+                         ids=[_row_id(row[0]) for row in REFUSALS[len(PARTITION_WORK):]])
+def test_refusal(i):
+    _check_refusal(i)
+
+
+def test_every_refusal_site_refuses_a_row_and_admits_its_boundary():
+    # Every refusal call in cli.py refuses some row of REFUSALS, and each
+    # `_refuse_over` call admits one within 1% of its limit.
+    sites = _refusal_sites()
+    assert {name for name, _, _ in sites} == set(CHECKS)
+    refused, near = set(), set()
+    for i in range(len(REFUSALS)):
+        for site, value, limit, refusal in _refusal_run(i)[5]:
+            if refusal:
+                refused.add(site)
+            elif limit is not None and 100 * value >= 99 * limit:
+                near.add(site)
+    assert refused == sites
+    assert near == {site for site in sites if site[0] == "_refuse_over"}
 
 
 def test_print_limits_match_python_int_str_limit():
@@ -439,97 +695,6 @@ def test_print_limits_match_python_int_str_limit():
     assert 2 ** MAX_VALUE_BITS < bound < 2 ** (MAX_VALUE_BITS + 1)
     assert len(str(math.factorial(1558))) <= MAX_DECIMAL_DIGITS
     assert len(str(2 ** MAX_VALUE_BITS)) <= MAX_DECIMAL_DIGITS
-
-
-# 10^4300 − 1, the largest integer Python prints by default
-NINES = "9" * MAX_DECIMAL_DIGITS
-
-
-OVERSIZED_PARTITION_WORK = [
-    (["integral", "--parts", "1000000"], None),
-    (["integral", "--parts", "2,1000001"], MAX_LARGEST_PART),
-    (["poly", "--parts", "20000000", "--format", "json"], MAX_LARGEST_PART),
-    (["derivatives", "--parts", "1558,1"], None),
-    (["derivatives", "--parts", "1559"], MAX_DECIMAL_DIGITS),
-    (["derivatives", "--parts", "1559", "--order", "3"], None),
-    (["derived-seq", "--parts", "1558"], None),
-    (["derived-seq", "--mults", ",".join(["0"] * 1558 + ["1"])], MAX_DECIMAL_DIGITS),
-    (["stats", "--mults", str(MAX_VALUE_BITS)], None),
-    (["stats", "--mults", str(MAX_VALUE_BITS + 1)], MAX_VALUE_BITS),
-    (["stats", "--mults", "0,0,0,0,0,0,0,0,0,30000000"], MAX_VALUE_BITS),
-    (["derivatives", "--parts", "20000", "--order", "500"], None),  # d·k = 10^7
-    (["derivatives", "--parts", "20000", "--order", "501"], MAX_DERIVATIVE_STEPS),
-    (["derivatives", "--parts", "1000000", "--order", "500000", "--at", "0"], MAX_DERIVATIVE_STEPS),
-    # K·⌊log2 max(|p|, q)⌋ for the degree K evaluated at p/q
-    (["derivatives", "--parts", "1,14284", "--order", "0", "--at", "1/2"], None),
-    (["derivatives", "--parts", "1,14285", "--order", "0", "--at", "1/2"], MAX_VALUE_BITS),
-    (["derivatives", "--parts", "14385", "--order", "100", "--at=-3/2"], MAX_VALUE_BITS),
-    (["derivatives", "--parts", "1558", "--at", "1/2^9"], None),  # 1558·9 = 14,022
-    (["derivatives", "--parts", "1,64000", "--order", "0", "--at", "1/3"], MAX_VALUE_BITS),
-    (["derivatives", "--parts", "100", "--at", "1/10^1000"], MAX_VALUE_BITS),
-    (["derivatives", "--parts", "300", "--at", "1/10^3000"], MAX_VALUE_BITS),
-    (["derivatives", "--parts", "300", "--order", "301", "--at", "1/10^3000"], None),
-    # the floor reads 3^K as 2^K, so max(|p|, q)^K is also checked for digits
-    (["derivatives", "--parts", "1,9013", "--order", "0", "--at", "1/3"], MAX_VALUE_BITS),
-    (["derivatives", "--parts", "1,14284", "--order", "0", "--at", "1/3"], MAX_VALUE_BITS),
-    # all orders print every i!·m_i: 1400!·10^2000 and 1000!·10^2000 pass 10^4300
-    (["derivatives", "--mults", ",".join(["0"] * 1399 + [str(10 ** 2000)])], MAX_DECIMAL_DIGITS),
-    (["derived-seq", "--mults", ",".join(["0"] * 1399 + [str(10 ** 2000)])], MAX_DECIMAL_DIGITS),
-    (["derivatives", "--mults", ",".join(["0"] * 999 + [str(10 ** 2000)] + ["0"] * 399 + ["1"])],
-     MAX_DECIMAL_DIGITS),
-    # a zero m_i counts as 1, so the check ends by i = 1559 under any largest part
-    (["derived-seq", "--parts", "1,1000000"], MAX_DECIMAL_DIGITS),
-    # an estimate past the print limit is shown as a power of 2
-    (["count", "--n", NINES], MAX_COUNT_STEPS),
-    (["avg", "--n", NINES, "--length", "2"], MAX_TABLE_CELLS),
-    (["collide", "--n", NINES, "--length", "2", "--order", "1"], MAX_COLLIDE_STEPS),
-    (["stats", "--mults", "1," + NINES], MAX_VALUE_BITS),
-    # the value 0 prints, but --at itself is printed back (see --at 1/10^3000 above)
-    (["derivatives", "--parts", "300", "--order", "301", "--at", "1/10^5000"], MAX_DECIMAL_DIGITS),
-    (["derivatives", "--parts", "300", "--order", "301", "--at", "1e-5000"], MAX_DECIMAL_DIGITS),
-    # an exponent is capped as 10^|e| is, before Fraction builds the power
-    (["derivatives", "--parts", "3", "--at", "1e-9999999"], MAX_POWER_BITS),
-    # the supernorm is checked for digits once built: 5^6151 has 4,300, 5^6152 4,301
-    (["stats", "--mults", "0,0,6151"], None),
-    (["stats", "--mults", "0,0,6152"], MAX_DECIMAL_DIGITS),
-    (["stats", "--mults", "0,0,6152", "--format", "json"], MAX_DECIMAL_DIGITS),
-    (["stats", "--mults", "0,0,7142"], MAX_DECIMAL_DIGITS),
-    (["stats", "--mults", "0,0,7142", "--format", "json"], MAX_DECIMAL_DIGITS),
-    # derived-seq prints each m_i ≠ 0 i times, at most i!·m_i: k ones print about k³ digits
-    (["derived-seq", "--mults", ",".join(["1"] * 253)], None),  # 9,979,190 digits
-    (["derived-seq", "--mults", ",".join(["1"] * 254)], MAX_DERIVED_SEQ_DIGITS),
-    (["derived-seq", "--mults", ",".join(["1"] * 800), "--format", "json"], MAX_DERIVED_SEQ_DIGITS),
-]
-
-
-@pytest.mark.parametrize("argv, limit", OVERSIZED_PARTITION_WORK)
-def test_oversized_partition_work_exits_1(argv, limit, capsys, monkeypatch):
-    # the work after each check is stubbed so that the check alone is timed
-    monkeypatch.setattr("partpoly.cli.integral", lambda p: Fraction(1, 2))
-    monkeypatch.setattr("partpoly.cli.derivative_values", lambda p, x: [0])
-    monkeypatch.setattr("partpoly.cli.diff", lambda coeffs, d=1: ())
-    monkeypatch.setattr("partpoly.cli.derived_partition", lambda p, d: Partition())
-    start = time.perf_counter()
-    status, text = _run(argv)
-    assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    if limit is None:
-        assert status == 0 and err == ""
-        return
-    assert status == 1 and text == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert str(limit) in err
-
-
-@pytest.mark.parametrize("order", ["-1", "-100000"])
-@pytest.mark.parametrize("at", ["1", "1/3"])
-def test_negative_order_is_refused_first(order, at, capsys):
-    # refused before the value estimate, whose degree k − d grows as d goes negative
-    start = time.perf_counter()
-    status, text = _run(["derivatives", "--parts", "5", "--order", order, "--at", at])
-    assert time.perf_counter() - start < 1
-    assert status == 1 and text == ""
-    assert capsys.readouterr().err == "error: derivative order must be nonnegative\n"
 
 
 def test_order_past_degree_is_zero_at_once():
@@ -562,57 +727,6 @@ def test_largest_value_at_one_third_prints():
     assert status == 0 and json.loads(text)["values"][0]["value"] == format_rational(value)
 
 
-def test_unprintable_integral_exits_1(capsys):
-    # ⟨1, 2, ..., 10000⟩: (H_10001 − 1)/10000 has a denominator past 4300 digits
-    status, text = _run(["integral", "--mults", ",".join(["1"] * 10000)])
-    err = capsys.readouterr().err
-    assert status == 1 and text == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "4300" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["derivatives", "--order", "1", "--mults", "1," + NINES],  # f'(1) = 1 + 2·m_2
-    ["derivatives", "--order", "0", "--at", "1/2", "--mults", f"{NINES},{NINES}"],
-    # each i!·m_i prints, but f(1) = m_1 + m_2 and λ^(0)'s length do not
-    ["derivatives", "--mults", f"{NINES},{10 ** 4299}"],
-    ["derived-seq", "--mults", f"{NINES},{10 ** 4299}"],
-])
-def test_unprintable_value_exits_1(argv, capsys):
-    start = time.perf_counter()
-    status, text = _run(argv)
-    assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    assert status == 1 and text == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert str(MAX_DECIMAL_DIGITS) in err
-
-
-# the last two stop at step 1, but the output prints epsilon back
-@pytest.mark.parametrize("epsilon", ["1/10^5000", "1/10^30000", "2^20000/3^9100", "1e5000"])
-def test_unprintable_density_exits_1_at_once(epsilon, capsys):
-    start = time.perf_counter()
-    status, text = _run(["density", "--target", "1/3", "--epsilon", epsilon])
-    assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    assert status == 1 and text == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert str(MAX_DECIMAL_DIGITS) in err
-
-
-def test_unprintable_density_target_exits_1_at_once(capsys):
-    # the bound 3/(20·2^r) prints, but achieved_error carries the target's
-    # 4,201-digit denominator too, and the steps ran 5.3 s before the print
-    target = format_rational(Fraction(1, 3) + Fraction(1, 10 ** 4200))
-    start = time.perf_counter()
-    status, text = _run(["density", "--target", target, "--epsilon", f"1/{10 ** 4000}"])
-    assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    assert status == 1 and text == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert str(MAX_DECIMAL_DIGITS) in err
-
-
 def test_largest_printable_density_runs(capsys, monkeypatch):
     # the last step r at the target 1/3 whose lcm(den(a), 3, den((b − a)/2^r))
     # stays under the print limit; ε = (b − a)/2^(r − 1) stops there, and half
@@ -641,52 +755,6 @@ def test_derived_seq_walks_the_derivative_once():
     seq = json.loads(text)["sequence"]
     assert status == 0 and len(seq) == 401
     assert seq[399]["partition"]["multiplicities"] == [str(math.factorial(400))]
-
-
-OVERSIZED_COLLIDE = [
-    (["--n", "60", "--length", "5", "--order", "3"], True),  # 1,178,240 steps
-    (["--n", "4473", "--length", "1", "--order", "1"], True),  # one partition, 2·k = 8,946
-    (["--n", "1414", "--length", "1", "--order", "1414"], False),  # (k + 1)·k = 2,000,810
-    (["--n", "200", "--length", "10", "--order", "2"], False),  # p(200, 10) = 807,151,588
-    (["--n", "10000000000", "--length", "5", "--order", "2"], False),
-    # counting these p(n, ℓ) would take 2.5·10^11 steps: the parts <= 2 bound refuses first
-    (["--n", "1000000", "--length", "499999", "--order", "2"], False),
-    (["--n", "1413", "--length", "1", "--order", "1413"], True),  # 1,997,982
-    (["--n", "1414", "--length", "1", "--order", "5000"], False),  # the order is capped at k
-    (["--n", "1000000", "--length", "1", "--order", "1"], True),  # 2·k = 2,000,000
-    (["--n", "1000001", "--length", "1", "--order", "1"], False),
-    (["--n", "159", "--length", "2", "--order", "159"], True),  # 79·159·158 = 1,984,638
-    (["--n", "160", "--length", "2", "--order", "160"], False),  # 80·160·159 = 2,035,200
-]
-
-
-@pytest.mark.parametrize("argv, allowed", OVERSIZED_COLLIDE)
-def test_oversized_collide_exits_1(argv, allowed, capsys, monkeypatch):
-    monkeypatch.setattr(
-        "partpoly.cli.collision_search", lambda n, l, d: CollisionReport(n, l, d, (), ())
-    )
-    start = time.perf_counter()
-    status, text = _run(["collide", *argv])
-    assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    if allowed:
-        assert status == 0 and text == "no collisions\n" and err == ""
-        return
-    assert status == 1 and text == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert str(MAX_COLLIDE_STEPS) in err
-
-
-@pytest.mark.parametrize("order", ["0", "-1", "-7"])
-def test_collide_refuses_a_bad_order_before_counting(order, capsys):
-    # d <= −1 made the estimates' factor (min(d, k) + 1)·k <= 0, so p(400000,
-    # 200000) was counted (11 s) before collision_search refused; d = 0 was
-    # refused on the estimate, not on the order
-    start = time.perf_counter()
-    status, text = _run(["collide", "--n", "400000", "--length", "200000", "--order", order])
-    assert time.perf_counter() - start < 1
-    assert status == 1 and text == ""
-    assert capsys.readouterr().err == "error: need order >= 1\n"
 
 
 def test_count_length_near_n_is_cheap():
@@ -797,13 +865,6 @@ def test_density_accepts_power_spelling():
     )
     assert spelled == digits
     assert json.loads(spelled)["start_index"] == 149999
-
-
-def test_oversized_power_exits_1(capsys):
-    status, _ = _run(["density", "--target", "1/3", "--epsilon", "1/10^999999999"])
-    assert status == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -936,17 +997,6 @@ def test_decimal_digits_upper_bound():
     assert time.perf_counter() - start < 1
 
 
-def test_oversize_full_partition_exits_1(capsys):
-    start = time.perf_counter()
-    status, text = _run(
-        ["density", "--target", "1/10^9", "--epsilon", "1/10^12", "--full-partition", "--format", "json"]
-    )
-    assert status == 1 and text == ""
-    assert time.perf_counter() - start < 5
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-
-
 def test_full_partition_outside_json_is_ignored():
     # Table and CSV print no partition, so s > 10^6 is no reason to refuse them.
     argv = ["density", "--target", "1/10^9", "--epsilon", "1/10^12"]
@@ -967,151 +1017,36 @@ def test_collide_takes_no_jobs(capsys):
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
-# CLI calls that no other test makes with the same argv: (exit status, seconds
-# it may take).  A refusal (exit 1) prints one `error:` line.  <NINES> stands
-# for 10^4300 − 1, <ones:k> for a list of k ones.
+# CLI calls that exit 0 and that no other test makes with the same argv:
+# the seconds each may take.  <NINES> stands for 10^4300 − 1.
 CLI_CALLS = {
-    "derivatives --parts 5,2,2,1 --at=-7/3": (0, 5),
-    "derivatives --parts 5,2,2,1 --at=-7/3 --decimal-digits 0": (0, 5),  # rounds negatives
-    "derivatives --parts 5,2,2,1 --at 1/3 --format json": (0, 5),
-    "poly --parts 5,2,2,1": (0, 5),
-    "integral --parts 5,2,2,1": (0, 5),
-    "derived-seq --parts 5,2,2,1": (0, 5),
-    "--format json derived-seq --parts 5,2,2,1": (0, 5),
-    "derived-seq --mults 1,0,3,1": (0, 5),
-    "avg --n 10 --length 3": (0, 5),
-    "avg-table --n 10": (0, 5),
-    "--format csv avg-table --n 10": (0, 5),
-    "avg-table --n 400": (0, 5),
-    "avg-table --n 1000": (0, 5),  # the largest allowed
-    "conjecture --max-n 20": (0, 5),
-    "density --target 1/3 --epsilon 1/10^6": (0, 5),
-    "collide --n 36 --length 6 --order 4": (0, 5),  # the README's PTE pair
-    "collide --n 1000000 --length 1 --order 1": (0, 5),  # 2·k = MAX_COLLIDE_STEPS
-    "count --n <NINES> --length 0": (0, 1),  # p(n, 0) = 0 builds no n + 1 cells
-    "stats --mults <ones:60000>": (1, 1),  # the supernorm bound reads 60,000 primes
-    "derived-seq --mults <ones:800>": (1, 1),
+    "derivatives --parts 5,2,2,1 --at=-7/3": 5,
+    "derivatives --parts 5,2,2,1 --at=-7/3 --decimal-digits 0": 5,  # rounds negatives
+    "derivatives --parts 5,2,2,1 --at 1/3 --format json": 5,
+    "poly --parts 5,2,2,1": 5,
+    "integral --parts 5,2,2,1": 5,
+    "derived-seq --parts 5,2,2,1": 5,
+    "--format json derived-seq --parts 5,2,2,1": 5,
+    "derived-seq --mults 1,0,3,1": 5,
+    "avg --n 10 --length 3": 5,
+    "avg-table --n 10": 5,
+    "--format csv avg-table --n 10": 5,
+    "avg-table --n 400": 5,
+    "avg-table --n 1000": 5,  # the largest allowed
+    "conjecture --max-n 20": 5,
+    "density --target 1/3 --epsilon 1/10^6": 5,
+    "collide --n 36 --length 6 --order 4": 5,  # the README's PTE pair
+    "collide --n 1000000 --length 1 --order 1": 5,  # 2·k = MAX_COLLIDE_STEPS
+    "count --n <NINES> --length 0": 1,  # p(n, 0) = 0 builds no n + 1 cells
 }
 
 
-def _expand(token):
-    if token == "<NINES>":
-        return NINES
-    if token.startswith("<ones:"):
-        return ",".join(["1"] * int(token[6:-1]))
-    return token
-
-
 @pytest.mark.parametrize("call", list(CLI_CALLS))
-def test_cli_call(call, capsys):
-    expected, seconds = CLI_CALLS[call]
+def test_cli_call(call):
     start = time.perf_counter()
-    status, text = _run([_expand(token) for token in call.split()])
-    assert time.perf_counter() - start < seconds
-    assert status == expected
-    if status == 0:
-        assert text
-    else:
-        err = capsys.readouterr().err
-        assert text == "" and err.startswith("error:") and err.count("\n") == 1
-
-
-class _WorkStarted(Exception):
-    """Raised by a stubbed engine: the call passed every refusal."""
-
-
-def _work(*args, **kwargs):
-    raise _WorkStarted
-
-
-def _refuse_over_sites():
-    """The (first, last) lines of each `_refuse_over(...)` call in cli.py."""
-    tree = ast.parse(Path(partpoly.cli.__file__).read_text(encoding="utf-8"))
-    return sorted(
-        (node.lineno, node.end_lineno)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refuse_over"
-    )
-
-
-def _full_partition_at(s):
-    """`density --full-partition` in JSON at the target α(s − 1): the first
-    edge index past it is s."""
-    target = format_rational(alpha_integral(s - 1))
-    return ["density", "--target", target, "--epsilon", "1/1000", "--full-partition", "--format", "json"]
-
-
-# The limits the tables above admit no call at: (n − ℓ)·ℓ = 10^7 for count
-BOUNDARY_ROWS = [
-    (["avg-table", "--n", str(MAX_AVG_TABLE_N)], None),
-    (["conjecture", "--max-n", str(MAX_CONJECTURE_N)], None),
-    (["count", "--n", "11000", "--length", "1000"], None),
-    (_full_partition_at(MAX_LARGEST_PART), None),
-    (_full_partition_at(MAX_LARGEST_PART + 1), MAX_LARGEST_PART),
-]
-
-
-def test_every_refusal_site_refuses_a_row_and_admits_its_boundary(monkeypatch):
-    # Every row of the refusal tables runs with the work after the checks
-    # stubbed to raise _WorkStarted; a count stays real up to collide's limit,
-    # as collide's own check counts.  A row that names a size limit must be
-    # refused by one `_refuse_over` call with that limit before any work, and
-    # any other row by none.  Every call site must refuse some row and admit
-    # one within 1% of its limit.
-    sites = _refuse_over_sites()
-    calls = []
-    refuse_over = partpoly.cli._refuse_over
-
-    def recorded(value, limit, message):
-        line = sys._getframe(1).f_lineno
-        calls.append((next(s for s in sites if s[0] <= line <= s[1]), value, limit))
-        refuse_over(value, limit, message)
-
-    def capped_count(n, length=None):
-        # m·min(m, ℓ) bounds both routes: (n − ℓ)·ℓ steps, or m^1.5 for p(m)
-        m = n - (length or 0)
-        if m * min(m, length or m) > MAX_COLLIDE_STEPS:
-            _work()
-        return count_partitions(n, length)
-
-    monkeypatch.setattr(partpoly.cli, "_refuse_over", recorded)
-    monkeypatch.setattr(partpoly.cli, "count_partitions", capped_count)
-    for name in ["poly_of", "derivative_values", "diff", "derived_partition", "integral",
-                 "avg", "avg_table", "check_conjecture", "CountTable", "collision_search"]:
-        monkeypatch.setattr(partpoly.cli, name, _work)
-    monkeypatch.setattr(Partition, "supernorm", _work)
-    monkeypatch.setattr(DensityTrace, "result", property(_work))
-    rows = (
-        [(argv, MAX_COUNT_STEPS) for argv in OVERSIZED_COUNT]
-        + OVERSIZED_AVERAGES
-        + OVERSIZED_PARTITION_WORK
-        + [(["collide", *argv], None if ok else MAX_COLLIDE_STEPS) for argv, ok in OVERSIZED_COLLIDE]
-        + BOUNDARY_ROWS
-    )
-    limits, refused, admitted = {}, set(), {}
-    for argv, limit in rows:
-        calls.clear()
-        try:
-            status = _run(argv)[0]
-        except _WorkStarted:
-            status = "work"
-        over = [l for _, v, l in calls if v > l]
-        shown = " ".join(argv)[:80]
-        if limit is None:
-            assert status in (0, "work") and over == [], shown
-        elif limit in (MAX_DECIMAL_DIGITS, MAX_POWER_BITS):  # a print check's refusal
-            assert over == [], shown
-        else:
-            assert status == 1 and over == [limit], shown
-        for site, value, l in calls:
-            limits[site] = l
-            if value > l:
-                refused.add(site)
-            else:
-                admitted[site] = max(value, admitted.get(site, value))
-    assert sorted(refused) == sites
-    near = [site for site in sites if 100 * admitted.get(site, 0) >= 99 * limits[site]]
-    assert near == sites
+    status, text = _run([NINES if token == "<NINES>" else token for token in call.split()])
+    assert time.perf_counter() - start < CLI_CALLS[call]
+    assert status == 0 and text
 
 
 # Most flags take integers, so half the values drawn are one.
