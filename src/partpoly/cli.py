@@ -2,12 +2,13 @@
 
 Every module is exposed as a subcommand with table (default), CSV, and JSON
 output.  All numeric output is exact; decimal columns are annotations
-rounded to --decimal-digits places.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+rounded to --decimal-digits places.  Exit codes: 0 success, 1 domain error
+or stdout closed early, 2 usage error.
 """
 
 import argparse
 import math
+import os
 import sys
 
 from .averages import avg, avg_table, check_conjecture
@@ -457,20 +458,16 @@ def _global_flags(parser, suppress):
     )
 
 
-def build_parser(command=None):
-    """The CLI parser; given a subcommand name, it parses only that one."""
+def build_parser():
+    """The CLI parser."""
     parser = argparse.ArgumentParser(
         prog="partpoly",
         description="Exact partition-polynomial calculator: derivatives, "
         "integrals, averages, density constructions, collision search.",
     )
     _global_flags(parser, suppress=False)
-    # Set for one command only: the full parser's errors name it "command".
-    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, specs) in COMMANDS.items():
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         for spec in specs:
             if spec is PARTITION:
@@ -487,9 +484,8 @@ def build_parser(command=None):
 
 def run(argv=None, out=None):
     """Parse argv (default sys.argv[1:]) and dispatch; returns the process
-    exit status.  A leading subcommand builds only its own parser."""
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    exit status."""
+    args = build_parser().parse_args(argv)
     out = out or sys.stdout
     try:
         rows, doc, trailer = COMMANDS[args.command][0](args)
@@ -503,4 +499,16 @@ def run(argv=None, out=None):
 
 
 def main():
-    sys.exit(run())
+    # Every print check above assumes Python's default int -> str limit, which
+    # -X int_max_str_digits can change; 3.10.0 to 3.10.6 have no limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(MAX_DECIMAL_DIGITS)
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): as Python's signal docs advise,
+        # point it at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
