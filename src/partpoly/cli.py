@@ -25,12 +25,12 @@ from .search import collision_search
 MAX_DECIMAL_DIGITS = 4300
 _PRINT_BOUND = 10 ** MAX_DECIMAL_DIGITS  # the least integer that cannot print
 
-# A partition holds one multiplicity per part size 1..k, about 80 bytes of
-# memory and 11 of JSON apiece: `--parts` with a larger part, and `density
-# --full-partition` with a larger s (1/10^9 has s = 1,499,999,999), are refused
-# before the list is built.  `poly --parts 1000000` takes 7 s and 540 MB.  `integral` has
-# no cheap check before its print refusal; Linux's 128 KiB cap on one argument bounds it
-# (`--mults` with 60,000 ones: 3.5–4 s).
+# A partition holds one multiplicity per part size 1..k, about 80 bytes of memory and 11
+# of JSON apiece: `--parts` with a larger part is refused before the list is built, and
+# `density --full-partition` with a larger s (1/10^9 has s = 1,499,999,999) before any
+# step is.  `poly --parts 1000000` takes 7 s and 540 MB.  `integral` has no cheap check
+# before its print refusal; Linux's 128 KiB cap on one argument bounds it (`--mults`
+# with 60,000 ones: 3.5–4 s).
 MAX_LARGEST_PART = 10 ** 6
 
 # `derivatives --order d <= k` is one pass of k − d + 1 falling-factorial updates for a
@@ -342,20 +342,19 @@ def _cmd_density(args):
     bound = (b - a) / 2 ** last
     _refuse_unprintable([math.lcm(a.denominator, c.denominator, bound.denominator)],
                         "the last error's denominator")
-    trace = approximate(c, epsilon)
     full_partition = args.full_partition and args.format == "json"  # only JSON prints it
     if full_partition:
-        _refuse_over(trace.start_index, MAX_LARGEST_PART,
-                     "--full-partition would list {} multiplicities")
+        _refuse_over(s, MAX_LARGEST_PART, "--full-partition would list {} multiplicities")
+    trace = approximate(c, epsilon)
     rows, steps = [], []
-    for s in trace.steps:
+    for step in trace.steps:
         head = {
-            "step": s.index,
-            "integral": format_rational(s.integral),
-            "error_bound": format_rational(s.error_bound),
+            "step": step.index,
+            "integral": format_rational(step.integral),
+            "error_bound": format_rational(step.error_bound),
         }
-        rows.append(dict(head, largest_part=s.start_index, support_size=2))
-        steps.append(dict(head, partition=_step_summary(s)))
+        rows.append(dict(head, largest_part=step.start_index, support_size=2))
+        steps.append(dict(head, partition=_step_summary(step)))
     doc = {
         "target": format_rational(trace.target),
         "epsilon": format_rational(trace.epsilon),

@@ -22,8 +22,6 @@ import partpoly.search
 from partpoly import (
     AvgReport,
     CollisionReport,
-    DensityStep,
-    DensityTrace,
     DomainError,
     Partition,
     approximate,
@@ -51,7 +49,7 @@ from partpoly.cli import (
     build_parser,
     run,
 )
-from partpoly.density import alpha_integral, beta_integral, plan
+from partpoly.density import alpha_integral, plan
 from partpoly.exact import MAX_POWER_BITS
 
 
@@ -412,10 +410,11 @@ def _full_partition_at(s):
 # Every CLI refusal, and for each size limit a call admitted within 1% of it:
 # (argv, expected, real).  expected is the limit the one `error:` line names,
 # the exact stderr, or None for a call that exits 0.  A row runs with the
-# engines stubbed, unless real: its refusal follows the work, or is
-# collision_search's own.  REFUSALS opens with the limits on a partition's
-# work, print size and estimates, which test_oversized_partition_work_exits_1
-# runs; test_refusal runs the other rows.
+# engines stubbed, unless real: its refusal follows the work, is
+# collision_search's own, or must come before work that would take over 1 s.
+# REFUSALS opens with the limits on a partition's work, print size and
+# estimates, which test_oversized_partition_work_exits_1 runs; test_refusal
+# runs the other rows.
 PARTITION_WORK = [
     (["integral", "--parts", "1000000"], None, False),
     (["integral", "--parts", "2,1000001"], MAX_LARGEST_PART, False),
@@ -524,6 +523,9 @@ REFUSALS = [
     (_full_partition_at(MAX_LARGEST_PART + 1), MAX_LARGEST_PART, False),
     (["density", "--target", "1e-9", "--epsilon", "1/10^12", "--full-partition", "--format", "json"],
      MAX_LARGEST_PART, False),
+    # unstubbed: its 13,287 steps would take about 1.8 s, so the refusal must come first
+    (["density", "--target", "1e-9", "--epsilon", "1/10^4000", "--full-partition", "--format", "json"],
+     MAX_LARGEST_PART, True),
     (["collide", "--n", "60", "--length", "5", "--order", "3"], None, False),  # 1,178,240 steps
     (["collide", "--n", "4473", "--length", "1", "--order", "1"], None, False),  # 2·k = 8,946
     (["collide", "--n", "1414", "--length", "1", "--order", "1414"], MAX_COLLIDE_STEPS, False),
@@ -582,16 +584,8 @@ STAND_INS = {
     "diff": lambda coeffs, order: (),
     "derived_partition": lambda p, order: Partition(),
     "poly_of": poly_of,  # real but recorded
+    "approximate": lambda c, epsilon: approximate(Fraction(1, 3), 1),  # one step at s = 4
 }
-
-
-def _planned_trace(c, epsilon):
-    """approximate's stand-in: one step at the edges' s that `plan` picks, so
-    --full-partition's refusal of that s still reads it."""
-    s, _ = plan(c, epsilon)
-    a, b = alpha_integral(s), beta_integral(s)
-    step = DensityStep(1, (1, 1), s, (a + b) / 2, (b - a) / 2)
-    return DensityTrace(c, epsilon, s, (a, b), (step,), abs(step.integral - c))
 
 
 @functools.cache  # the site test reads the runs that the row tests made
@@ -653,11 +647,8 @@ def _refusal_run(i):
             for name, stand_in in STAND_INS.items():
                 patch.setattr(partpoly.cli, name, record(name, stand_in))
             patch.setattr(partpoly.cli, "count_partitions", count)
-            # unrecorded: --full-partition is refused after it, on its start index
-            patch.setattr(partpoly.cli, "approximate", _planned_trace)
             for name in ("norm", "supernorm"):
                 patch.setattr(Partition, name, bounded(name, getattr(Partition, name)))
-            patch.setattr(DensityTrace, "result", property(record("result", lambda trace: Partition())))
         start = time.perf_counter()
         status, text = _run(argv)
         seconds = time.perf_counter() - start
