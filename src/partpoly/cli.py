@@ -13,7 +13,7 @@ import sys
 
 from .averages import avg, avg_table, check_conjecture
 from .calculus import derivative_values, derived_partition, diff, evaluate, poly_of
-from .density import alpha_integral, approximate, beta_integral, plan
+from .density import approximate, plan
 from .errors import DomainError
 from .exact import format_rational, nth_prime, parse_rational, rational_to_decimal
 from .integrals import integral
@@ -70,7 +70,7 @@ MAX_CONJECTURE_N = 200
 # about (min(d, k) − 1)·k Fraction steps, k <= n − ℓ + 1 its largest part.  Its
 # refusal past p(n, ℓ)·(min(d, n − ℓ + 1) + 1)·(n − ℓ + 1) steps is conservative:
 # `collide --n 60 --length 5 --order 3` is 1.18·10^6 steps and takes 1.3 s.  The
-# slowest allowed calls: ℓ = 1 at n = 1,413 with d >= k (values up to 1413!) 6–7 s,
+# slowest allowed calls: ℓ = 1 at n = 1,413 with d >= k (values up to 1413!) 8.3–9.7 s,
 # ℓ = 2 at n = 1,155 with d = 2 1.9 s, ℓ = 1 at n = 10^6 with d = 1 0.3 s.
 MAX_COLLIDE_STEPS = 2 * 10 ** 6
 
@@ -337,8 +337,7 @@ def _cmd_density(args):
     # 4,200-digit denominator at `--epsilon 1/10^4000` ran 5.3 s into the print
     # limit; the largest allowed prints 185 MB in 6.6 s.  (An epsilon that could
     # not print itself, such as 1/10^5000, is refused as it is parsed.)
-    s, last = plan(c, epsilon)  # validates c and epsilon
-    a, b = alpha_integral(s), beta_integral(s)
+    s, (a, b), last = plan(c, epsilon)  # validates c and epsilon
     bound = (b - a) / 2 ** last
     _refuse_unprintable([math.lcm(a.denominator, c.denominator, bound.denominator)],
                         "the last error's denominator")
@@ -502,6 +501,8 @@ def main():
     # -X int_max_str_digits can change; 3.10.0 to 3.10.6 have no limit.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(MAX_DECIMAL_DIGITS)
+    # `python -u` would make each json.dump chunk a system call; the flush below ends the call.
+    sys.stdout.reconfigure(write_through=False)
     try:
         status = run()
         sys.stdout.flush()

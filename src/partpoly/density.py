@@ -92,8 +92,9 @@ def _bracket_index(c):
 
 
 def plan(c, epsilon):
-    """Validate target c ∈ (0, 1/2) and tolerance epsilon > 0; return the
-    edges' s and the step r where `approximate` stops, building no step.
+    """Validate target c ∈ (0, 1/2) and tolerance epsilon > 0; return
+    (s, (a, b), last): the edges' s, their integrals a = ∫α(s) < c < b = ∫β(s)
+    and the step where `approximate` stops, building no step.
 
     The search bisects y = (c − a)/(b − a) in (0, 1): it stops at the least r
     with (b − a)/2^r < ε, or earlier, at r = j, when y has the denominator
@@ -110,15 +111,14 @@ def plan(c, epsilon):
     j = ((c - a) / (b - a)).denominator
     if j & (j - 1) == 0:
         last = min(last, j.bit_length() - 1)
-    return s, last
+    return s, (a, b), last
 
 
 def approximate(c, epsilon):
     """Construct a partition whose normalized integral is within `epsilon`
     of the target c ∈ (0, 1/2), with a certified error bound per step."""
-    s, last = plan(c, epsilon)
+    s, (a, b), last = plan(c, epsilon)
     c, epsilon = Fraction(c), Fraction(epsilon)
-    a, b = alpha_integral(s), beta_integral(s)
     y = (c - a) / (b - a)
     steps = []
     for r in range(1, last + 1):

@@ -8,6 +8,7 @@ them by factorial ratios.
 """
 
 import itertools
+import math
 
 from .errors import DomainError
 from .exact import nth_prime
@@ -35,10 +36,7 @@ class Partition:
             if p < 1:
                 raise DomainError(f"parts must be positive integers, got {p}")
             mults[p] = mults.get(p, 0) + 1
-        if not mults:
-            return cls()
-        k = max(mults)
-        return cls(mults.get(i, 0) for i in range(1, k + 1))
+        return cls(mults.get(i, 0) for i in range(1, max(mults, default=0) + 1))
 
     @property
     def multiplicities(self):
@@ -65,17 +63,11 @@ class Partition:
 
     def norm(self):
         """Product of the parts, Π i^{m_i} (1 for the empty partition)."""
-        result = 1
-        for i, m in enumerate(self._mults, start=1):
-            result *= i ** m
-        return result
+        return math.prod(i ** m for i, m in enumerate(self._mults, start=1))
 
     def supernorm(self):
         """Π p_i^{m_i} over the i-th primes; injective on partitions."""
-        result = 1
-        for i, m in enumerate(self._mults, start=1):
-            result *= nth_prime(i) ** m
-        return result
+        return math.prod(nth_prime(i) ** m for i, m in enumerate(self._mults, start=1))
 
     def moment(self, k):
         """The k-th moment Σ i^k·m_i; moment(0) = length, moment(1) = size."""
@@ -85,12 +77,7 @@ class Partition:
 
     def oplus(self, other):
         """Combine two partitions by adding multiplicities componentwise."""
-        a, b = self._mults, other._mults
-        if len(a) < len(b):
-            a, b = b, a
-        return Partition(
-            [a[i] + (b[i] if i < len(b) else 0) for i in range(len(a))]
-        )
+        return Partition(map(sum, itertools.zip_longest(self._mults, other._mults, fillvalue=0)))
 
     def to_json(self):
         return {"multiplicities": [str(m) for m in self._mults]}

@@ -319,6 +319,22 @@ def test_avg3_lower_bound_is_a_lower_bound():
         avg3_lower_bound(3)
 
 
+def _avg3_exact(n):
+    """Avg(n, 3) from the count of parts i over the partitions of n into 3
+    parts, c_i = ⌊(n − i)/2⌋ + [2i < n] + [3i = n], and p(n, 3) = round(n²/12)."""
+    d = math.lcm(*range(2, n))  # of i + 1 for the parts i <= n − 2
+    total = sum(((n - i) // 2 + (2 * i < n) + (3 * i == n)) * (d // (i + 1)) for i in range(1, n - 1))
+    return Fraction(total, d * 3 * round(n * n / 12))
+
+
+def test_avg3_closed_counts():
+    table = CountTable()
+    for n in range(3, 401):
+        assert _avg3_exact(n) == avg(n, 3, table)
+    for n in (10 ** 3, 3 * 10 ** 3, 10 ** 4):
+        assert avg3_lower_bound(n) <= float(_avg3_exact(n))
+
+
 def test_avg3_ratio_diagnostics():
     # bound·n/ln(n) climbs toward 2; convergence is logarithmic, so desk
     # scale only sees the trend and a loose window

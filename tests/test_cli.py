@@ -47,6 +47,7 @@ from partpoly.cli import (
     MAX_VALUE_BITS,
     PARTITION,
     build_parser,
+    main,
     run,
 )
 from partpoly.density import alpha_integral, plan
@@ -762,7 +763,7 @@ def test_largest_printable_density_runs(capsys, monkeypatch):
     monkeypatch.setattr("partpoly.cli.approximate", lambda c, eps: small)
     for stop, expected in ((r, 0), (r + 1, 1)):
         epsilon = (b - a) / 2 ** (stop - 1)
-        assert plan(Fraction(1, 3), epsilon) == (small.start_index, stop)
+        assert plan(Fraction(1, 3), epsilon) == (small.start_index, small.interval, stop)
         status, _ = _run(["density", "--target", "1/3", "--epsilon", format_rational(epsilon)])
         assert status == expected
     assert capsys.readouterr().err.count("\n") == 1
@@ -920,6 +921,36 @@ def test_closed_stdout_exits_1_quietly(args):
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert all(line.startswith(b"n=") for line in err.splitlines())  # no traceback, only progress
+
+
+def test_unbuffered_python_prints_what_run_prints():
+    args = "conjecture --max-n 30 --format json"
+    proc = _python("-u", "-m", "partpoly", *args.split())
+    assert proc.returncode == 0
+    assert proc.stdout == _run(args.split())[1]
+
+
+def test_main_buffers_a_write_through_stdout(monkeypatch):
+    # `python -u` gives stdout a write-through wrapper on an unbuffered file, which
+    # takes one write per json.dump chunk (1,112 here) unless main() buffers it.
+    writes = []
+
+    class File(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            writes.append(len(data))
+            return len(data)
+
+    args = "conjecture --max-n 30 --format json".split()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(File(), write_through=True))
+    monkeypatch.setattr(sys, "argv", ["partpoly", *args])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    size = len(_run(args)[1].encode())
+    assert sum(writes) == size and len(writes) <= size // 8192 + 1
 
 
 def test_cli_prints_to_its_own_int_str_limit():

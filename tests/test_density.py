@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from partpoly import (
     DomainError,
@@ -109,7 +110,7 @@ def test_last_error_bound_is_the_last_steps_bound():
     for c in (Fraction(1, 3), Fraction(49, 100), Fraction(3, 8), c5, Fraction(1, 10 ** 9)):
         for eps in (Fraction(1), b - a, Fraction(1, 10 ** 6), Fraction(1, 2 ** 40)):
             trace = approximate(c, eps)
-            assert plan(c, eps) == (trace.start_index, len(trace.steps))
+            assert plan(c, eps) == (trace.start_index, trace.interval, len(trace.steps))
     trace = approximate(c5, Fraction(1, 2 ** 40))
     assert len(trace.steps) == 5 and trace.achieved_error == 0
     with pytest.raises(DomainError):
@@ -213,3 +214,22 @@ def test_bracket_index_near_one_half():
     assert alpha_integral(s) < c < beta_integral(s)
     assert not beta_integral(s - 1) > c
     assert s == 499_999_999_998
+
+
+@st.composite
+def _below_one_half(draw):
+    """A rational p/q in (0, 1/2) with q < 10^6."""
+    q = draw(st.integers(3, 10 ** 6 - 1))
+    return Fraction(draw(st.integers(1, (q - 1) // 2)), q)
+
+
+@settings(deadline=None)
+@example(Fraction(1, 999_999))  # k = 999,999, the longest multiplicity list
+@example(Fraction(499_999, 999_999))
+@given(_below_one_half())
+def test_every_rational_below_one_half_is_an_integral(c):
+    # ⟨1^a, k^b⟩ has integral (a/2 + b/(k + 1))/(a + b), which is c when
+    # a/b = (c − 1/(k + 1))/(1/2 − c); k = ⌊1/c⌋ >= 2 makes that ratio positive
+    k = c.denominator // c.numerator
+    ratio = (c - Fraction(1, k + 1)) / (Fraction(1, 2) - c)
+    assert integral(Partition([ratio.numerator] + [0] * (k - 2) + [ratio.denominator])) == c
