@@ -16,7 +16,6 @@ from .averages import (
     avg3_lower_bound,
     avg_table,
     check_conjecture,
-    multiplicity_profile,
 )
 from .density import DensityStep, DensityTrace, alpha, approximate, beta
 from .errors import DomainError
@@ -34,6 +33,7 @@ from .partitions import (
     Partition,
     count_partitions,
     iter_partitions,
+    multiplicity_profile,
 )
 from .search import CollisionReport, collision_search, distinguishing_order
 

@@ -1,12 +1,9 @@
 """Average integrals over all partitions of fixed size and length.
 
-Avg(n, ℓ) is the mean of ∫₀¹ f̂_λ over partitions of n into ℓ parts: the integral of
-their ⊕-sum, the combined partition, which multiplicity_profile builds without
-enumeration.  CountTable.count gives p = p(n, ℓ) and fills the triangle through row n,
-whose rows give the count c_i = Σ_j p(n − j·i, ℓ − j) of parts i = 3..n − ℓ + 1 over
-j = 1..min(ℓ, ⌊(n − ℓ)/(i − 1)⌋), the cells 0 <= ℓ − j <= n − j·i; the totals ℓ·p and
-n·p give c₂ = (n − ℓ)·p − Σ_{i≥3} (i − 1)·c_i and c₁ = ℓ·p − c₂ − Σ_{i≥3} c_i.  No part
-exceeds n: row n shares D = lcm(2..n+1) and D/(i+1), and Avg is a dot product / (D·ℓ·p).
+Avg(n, ℓ) is the mean of ∫₀¹ f̂_λ over the p = p(n, ℓ) partitions of n into ℓ parts: the
+integral of their ⊕-sum, the combined partition, which multiplicity_profile builds from
+the count table without enumeration.  No part exceeds n: row n shares D = lcm(2..n+1)
+and D/(i+1), and Avg is a dot product / (D·ℓ·p).
 
 The even-n closed form for Avg(n, 2) here carries the correction term
 2/(n+2): the duplicated part n/2 in the combined partition contributes
@@ -21,7 +18,7 @@ from operator import mul
 
 from .errors import DomainError
 from .exact import harmonic
-from .partitions import CountTable, Partition, count_partitions
+from .partitions import CountTable, count_partitions, multiplicity_profile
 
 
 class AvgReport(namedtuple("AvgReport", "n values monotone first_violation")):
@@ -29,26 +26,6 @@ class AvgReport(namedtuple("AvgReport", "n values monotone first_violation")):
     ℓ with values[ℓ-1] > values[ℓ], or None when the row is monotone."""
 
     __slots__ = ()
-
-
-def multiplicity_profile(n, length, table=None):
-    """The combined partition ⊕ of all partitions of n into `length` parts:
-    its multiplicity of part i is the number of parts of size i among them,
-    counted from the table without enumeration."""
-    if n < 1 or length < 1 or length > n:
-        raise DomainError("need 1 <= length <= n")
-    table = table or CountTable()
-    p = table.count(n, length)  # fills the table through row n
-    rows = table._rows  # every row read below is below n, so already filled
-    # only sizes i >= 3 are read: the totals ℓ·p and n·p give parts 1 and 2
-    counts = []
-    for i in range(3, n - length + 2):
-        c = 0
-        for j in range(1, min(length, (n - length) // (i - 1)) + 1):
-            c += rows[n - j * i][length - j]
-        counts.append(c)
-    c2 = (n - length) * p - sum(i * c for i, c in enumerate(counts, 2))
-    return Partition([length * p - c2 - sum(counts), c2] + counts)
 
 
 def _integrals(profiles, k):

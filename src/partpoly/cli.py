@@ -28,15 +28,15 @@ _PRINT_BOUND = 10 ** MAX_DECIMAL_DIGITS  # the least integer that cannot print
 # A partition holds one multiplicity per part size 1..k, about 80 bytes of memory and 11
 # of JSON apiece: `--parts` with a larger part is refused before the list is built, and
 # `density --full-partition` with a larger s (1/10^9 has s = 1,499,999,999) before any
-# step is.  `poly --parts 1000000` takes 7 s and 540 MB.  `integral` has no cheap check
-# before its print refusal; Linux's 128 KiB cap on one argument bounds it (`--mults`
-# with 60,000 ones: 3.5–4 s).
+# step is.  `poly --parts 1000000` takes 5.1–5.4 s and 536–543 MB as a process on a
+# 2-vCPU Xeon VM.  `integral` has no cheap check before its print refusal; Linux's
+# 128 KiB cap on one argument bounds it (`--mults` with 60,000 ones: 3.5–4 s).
 MAX_LARGEST_PART = 10 ** 6
 
 # `derivatives --order d <= k` is one pass of k − d + 1 falling-factorial updates for a
 # largest part k, so d·k over-estimates its work.  At 10^7: 20,000 ones at d = 500 take
 # 0.34 s, k = 10^5 at d = 100 0.58 s, 3,000 ones at d = 2,000 0.12 s (then refused to
-# print).  Evaluating adds k − d Fraction steps: k = 10^6 at d = 10 takes 4.4 s.
+# print).  Evaluating adds k − d Fraction steps: k = 10^6 at d = 10: 3.7–4.5 s (same VM).
 MAX_DERIVATIVE_STEPS = 10 ** 7
 
 # 2^14285 > 10^4300 > 2^14284: a value of more bits than this cannot print.
@@ -69,9 +69,9 @@ MAX_CONJECTURE_N = 200
 # `collide --order d` keys each of the p(n, ℓ) partitions on orders 2..min(d, k) in
 # about (min(d, k) − 1)·k Fraction steps, k <= n − ℓ + 1 its largest part.  Its
 # refusal past p(n, ℓ)·(min(d, n − ℓ + 1) + 1)·(n − ℓ + 1) steps is conservative:
-# `collide --n 60 --length 5 --order 3` is 1.18·10^6 steps and takes 1.3 s.  The
-# slowest allowed calls: ℓ = 1 at n = 1,413 with d >= k (values up to 1413!) 8.3–9.7 s,
-# ℓ = 2 at n = 1,155 with d = 2 1.9 s, ℓ = 1 at n = 10^6 with d = 1 0.3 s.
+# `collide --n 60 --length 5 --order 3` is 1.18·10^6 steps and takes 1.3 s.  ℓ = 1 and
+# ℓ >= n − 1 return at once; the slowest allowed calls: ℓ = 2 at n = 437 with d = 20
+# 4.1–6.0 s, at n = 159 with d = k 2.6–2.9 s, at n = 1,155 with d = 2 1.7 s.
 MAX_COLLIDE_STEPS = 2 * 10 ** 6
 
 # `count` up to this n reads the CountTable triangle that `avg` reads (5,151

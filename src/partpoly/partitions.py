@@ -157,6 +157,28 @@ class CountTable:
         return self._rows[n][length]
 
 
+def multiplicity_profile(n, length, table=None):
+    """The combined partition ⊕ of all partitions of n into `length` parts, counted
+    from the table without enumeration.  count gives p = p(n, ℓ) and fills the triangle
+    through row n, whose rows give the count c_i = Σ_j p(n − j·i, ℓ − j) of parts
+    i = 3..n − ℓ + 1 over j = 1..min(ℓ, ⌊(n − ℓ)/(i − 1)⌋), the cells 0 <= ℓ − j <= n − j·i;
+    the totals ℓ·p and n·p give c₂ = (n − ℓ)·p − Σ_{i≥3} (i − 1)·c_i and
+    c₁ = ℓ·p − c₂ − Σ_{i≥3} c_i."""
+    if n < 1 or length < 1 or length > n:
+        raise DomainError("need 1 <= length <= n")
+    table = table or CountTable()
+    p = table.count(n, length)  # fills the table through row n
+    rows = table._rows  # every row read below is below n, so already filled
+    counts = []
+    for i in range(3, n - length + 2):
+        c = 0
+        for j in range(1, min(length, (n - length) // (i - 1)) + 1):
+            c += rows[n - j * i][length - j]
+        counts.append(c)
+    c2 = (n - length) * p - sum(i * c for i, c in enumerate(counts, 2))
+    return Partition([length * p - c2 - sum(counts), c2] + counts)
+
+
 def count_partitions(n, length=None):
     """p(n), or p(n, ℓ) when `length` is given, in O(n) memory.
 

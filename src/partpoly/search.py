@@ -48,6 +48,8 @@ def collision_search(n, length, order):
         raise DomainError("need 1 <= length <= n")
     if order < 1:
         raise DomainError("need order >= 1")
+    if length == 1 or length >= n - 1:  # p(n, ℓ) = 1: ⟨n⟩, ⟨1^(n−2), 2⟩ or ⟨1^n⟩
+        return CollisionReport(n, length, order, (), ())
     buckets = {}
     for p in iter_partitions(n, length):
         # f(1) = ℓ and f'(1) = n for all, so the key is f^(d)(1) > 0 for d = 2..min(order, k)

@@ -353,3 +353,35 @@ def test_part_count_lower_bound_for_three_parts():
         counts = multiplicity_profile(n, 3).multiplicities
         for i in range(1, n - 1):
             assert counts[i - 1] >= (n - i) // 2
+
+
+def _part_shift_sums(n_max, table):
+    """S[t, n, ℓ] = Σ_λ Σ_j 1/(λ_j + t) over the partitions λ of n into ℓ parts, for
+    every cell with n + (t − 1)·ℓ <= n_max.  Removing a part 1, or taking 1 from
+    every part, gives S_t(n, ℓ) = S_t(n − 1, ℓ − 1) + p(n − 1, ℓ − 1)/(t + 1)
+    + S_{t+1}(n − ℓ, ℓ), whose two S cells are within the same bound."""
+    sums = {}
+    for n in range(1, n_max + 1):
+        for l in range(1, n + 1):
+            for t in range(1, (n_max - n) // l + 2):
+                sums[t, n, l] = (sums.get((t, n - 1, l - 1), 0)
+                                 + Fraction(table.count(n - 1, l - 1), t + 1)
+                                 + sums.get((t + 1, n - l, l), 0))
+    return sums
+
+
+def test_strengthened_conjecture_to_60():
+    # A_t(n, ℓ) = S_t(n, ℓ)/(ℓ·p(n, ℓ)) is the mean of 1/(λ_j + t) over all parts,
+    # A_1 = Avg; A_t(n, ℓ) <= A_t(n, ℓ + 1) holds for every t at every pair of cells
+    table = CountTable()
+    sums = _part_shift_sums(60, table)
+    mean = {(t, n, l): s / (l * table.count(n, l)) for (t, n, l), s in sums.items()}
+    for n in range(1, 61):
+        assert tuple(mean[1, n, l] for l in range(1, n + 1)) == avg_table(n, table).values
+    for (t, n, l), s in sums.items():
+        if n <= 12:
+            parts = [(i, m) for p in iter_partitions(n, l) for i, m in enumerate(p.multiplicities, 1)]
+            assert s == sum(Fraction(m, i + t) for i, m in parts)
+    pairs = [(t, n, l) for t, n, l in mean if (t, n, l + 1) in mean]
+    assert all(mean[t, n, l] <= mean[t, n, l + 1] for t, n, l in pairs)
+    assert len(pairs) == 5191

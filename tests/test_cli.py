@@ -851,6 +851,15 @@ def test_collide_all_ones_past_the_print_limit_runs():
     assert status == 0 and text == "no collisions\n"
 
 
+def test_collide_one_part_at_the_step_limit_answers_at_once():
+    # p(n, 1) = 1, so the slowest call the estimate admits at ℓ = 1 (1,997,982
+    # steps of values up to 1413!) has no pair to key and enumerates nothing
+    start = time.perf_counter()
+    status, text = _run(["collide", "--n", "1413", "--length", "1", "--order", "1413"])
+    assert time.perf_counter() - start < 1
+    assert status == 0 and text == "no collisions\n"
+
+
 def test_full_size_collide_golden():
     # the benchmark's collide call, pinned from the code that sliced full profiles
     status, text = _run(["collide", "--n", "60", "--length", "5", "--order", "3", "--format", "json"])
@@ -1035,6 +1044,12 @@ def test_domain_error_exits_1(capsys):
 def test_empty_partition_integral_exits_1():
     status, _ = _run(["integral", "--mults", "0"])
     assert status == 1
+
+
+def test_negative_multiplicity_exits_1(capsys):
+    status, text = _run(["stats", "--mults=-1,2"])
+    assert status == 1 and text == ""
+    assert capsys.readouterr().err == "error: multiplicities must be nonnegative\n"
 
 
 def test_usage_error_exits_2():

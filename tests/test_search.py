@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import partpoly.search
 from partpoly import (
     DomainError,
     Partition,
@@ -145,6 +146,16 @@ def test_collision_groups_consistent_with_orders():
 def test_collision_search_length_one_never_collides():
     for n in (5, 9, 14):
         assert collision_search(n, 1, 3).groups == ()
+
+
+def test_one_partition_lengths_report_without_enumerating(monkeypatch):
+    # p(n, ℓ) = 1 exactly at ℓ = 1 and ℓ >= n − 1, so those searches never enumerate
+    for n in range(1, 40):
+        single = [l for l in range(1, n + 1) if count_partitions(n, l) == 1]
+        assert single == sorted({1, *range(max(n - 1, 1), n + 1)})
+    monkeypatch.setattr(partpoly.search, "iter_partitions", None)
+    for n, length in ((1, 1), (2, 1), (9, 1), (9, 8), (9, 9), (10 ** 6, 1)):
+        assert collision_search(n, length, 5) == (n, length, 5, (), ())
 
 
 def test_collision_search_domain():
