@@ -28,9 +28,9 @@ _PRINT_BOUND = 10 ** MAX_DECIMAL_DIGITS  # the least integer that cannot print
 # A partition holds one multiplicity per part size 1..k, about 80 bytes of memory and 11
 # of JSON apiece: `--parts` with a larger part is refused before the list is built, and
 # `density --full-partition` with a larger s (1/10^9 has s = 1,499,999,999) before any
-# step is.  `poly --parts 1000000` takes 5.1–5.4 s and 536–543 MB as a process on a
-# 2-vCPU Xeon VM.  `integral` has no cheap check before its print refusal; Linux's
-# 128 KiB cap on one argument bounds it (`--mults` with 60,000 ones: 3.5–4 s).
+# step is.  `poly --parts 1000000` takes 2.9–3.2 s and 474 MB as a table, 0.4 s and 91 MB
+# as JSON (processes, 2-vCPU Xeon VM).  `integral` has no cheap check before its print
+# refusal; Linux's 128 KiB cap on one argument bounds it (`--mults` with 60,000 ones: 3.5–4 s).
 MAX_LARGEST_PART = 10 ** 6
 
 # `derivatives --order d <= k` is one pass of k − d + 1 falling-factorial updates for a
@@ -66,12 +66,11 @@ MAX_TABLE_CELLS = 5 * 10 ** 6
 MAX_AVG_TABLE_N = 1000
 MAX_CONJECTURE_N = 200
 
-# `collide --order d` keys each of the p(n, ℓ) partitions on orders 2..min(d, k) in
-# about (min(d, k) − 1)·k Fraction steps, k <= n − ℓ + 1 its largest part.  Its
-# refusal past p(n, ℓ)·(min(d, n − ℓ + 1) + 1)·(n − ℓ + 1) steps is conservative:
-# `collide --n 60 --length 5 --order 3` is 1.18·10^6 steps and takes 1.3 s.  ℓ = 1 and
-# ℓ >= n − 1 return at once; the slowest allowed calls: ℓ = 2 at n = 437 with d = 20
-# 4.1–6.0 s, at n = 159 with d = k 2.6–2.9 s, at n = 1,155 with d = 2 1.7 s.
+# `collide --order d < ℓ` keys each of the p(n, ℓ) partitions on orders 2..min(d, k) in
+# about (min(d, k) − 1)·k Fraction steps, k <= n − ℓ + 1 its largest part (d >= ℓ
+# answers at once).  Its refusal past p(n, ℓ)·(min(d, k) + 1)·k steps is conservative:
+# `collide --n 60 --length 5 --order 3` is 1.18·10^6 steps and takes 1.3 s; the slowest
+# allowed found, `--n 63 --length 5 --order 4`, 1.3–2.2 s as a process (same VM).
 MAX_COLLIDE_STEPS = 2 * 10 ** 6
 
 # `count` up to this n reads the CountTable triangle that `avg` reads (5,151
@@ -200,8 +199,9 @@ def _cmd_stats(args):
 
 def _cmd_poly(args):
     coeffs = poly_of(_partition(args))
-    rows = [{"degree": i, "coefficient": c} for i, c in enumerate(coeffs)]
-    return rows, {"coefficients": [str(c) for c in coeffs]}, None
+    if args.format == "json":  # build only the form it prints
+        return None, {"coefficients": [str(c) for c in coeffs]}, None
+    return [{"degree": i, "coefficient": c} for i, c in enumerate(coeffs)], None, None
 
 
 def _cmd_derivatives(args):
@@ -371,12 +371,12 @@ def _cmd_density(args):
 
 def _cmd_collide(args):
     n, length = args.n, args.length
-    if 1 <= length <= n and args.order >= 1:  # else collision_search refuses at once
+    if 1 <= args.order < length <= n:  # else collision_search answers or refuses at once
         # p(n, ℓ) >= (n − ℓ) // 2 + 1 for ℓ >= 2 (the partitions of n − ℓ into
         # parts <= 2); refusing on that first leaves only cheap exact counts.
         k = n - length + 1
         side = (min(args.order, k) + 1) * k
-        low = (n - length) // 2 + 1 if length > 1 else 1
+        low = (n - length) // 2 + 1
         message = "collide would take about {} steps"
         _refuse_over(low * side, MAX_COLLIDE_STEPS, message)
         _refuse_over(count_partitions(n, length) * side, MAX_COLLIDE_STEPS, message)

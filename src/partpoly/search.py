@@ -19,7 +19,8 @@ def distinguishing_order(lam, mu):
     f^(d)(1) = Σ_j s(d, j)·M_j for the power sums M_j = Σ_i i^j·m_i, a
     unitriangular map, so d is also the first order with M_d unequal.  Equal
     M_0..M_K over the part sizes 1..K, K the larger largest part, form a
-    Vandermonde system that fixes the multiplicities."""
+    Vandermonde system that fixes the multiplicities.  By Newton's identities
+    M_1..M_ℓ fix ℓ parts, so d <= ℓ when λ ≠ μ share the length ℓ."""
     K = max(lam.largest_part, mu.largest_part)
     return next((d for d in range(K + 1) if lam.moment(d) != mu.moment(d)), None)
 
@@ -48,7 +49,7 @@ def collision_search(n, length, order):
         raise DomainError("need 1 <= length <= n")
     if order < 1:
         raise DomainError("need order >= 1")
-    if length == 1 or length >= n - 1:  # p(n, ℓ) = 1: ⟨n⟩, ⟨1^(n−2), 2⟩ or ⟨1^n⟩
+    if order >= length:  # equal f^(0..ℓ)(1) mean equal M_1..M_ℓ, which fix ℓ parts (Newton)
         return CollisionReport(n, length, order, (), ())
     buckets = {}
     for p in iter_partitions(n, length):

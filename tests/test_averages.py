@@ -335,6 +335,45 @@ def test_avg3_closed_counts():
         assert avg3_lower_bound(n) <= float(_avg3_exact(n))
 
 
+def _avg3_harmonic(n):
+    """Avg(n, 3) = S/(3·p(n, 3)) in H_{n−1} and H_h, h = ⌊(n − 1)/2⌋.  With j = i + 1,
+    S = Σ_i c_i/(i + 1) splits into three sums over the part counts c_i:
+      Σ_{j=2}^{n−1} ⌊(n + 1 − j)/2⌋/j = ((n + 1)/2)(H_{n−1} − 1) − (n − 2)/2 − D, where
+        ⌊x/2⌋ = x/2 − [x odd]/2 and x = n + 1 − j is odd exactly when j ≡ n (mod 2):
+        D = (1/2)·Σ 1/j over those j, which is H_h/4 for even n and, from the odd
+        reciprocals Σ_{odd j <= 2h} 1/j = H_{2h} − H_h/2 less j = 1, (H_{n−1} − H_h/2 − 1)/2
+        for odd n;
+      Σ_{2i < n} 1/(i + 1) = H_{h+1} − 1 = H_h + 1/(h + 1) − 1;
+      [3 | n]/(n/3 + 1) = [3 | n]·3/(n + 3)."""
+    h = (n - 1) // 2
+    H, H_h = harmonic(n - 1), harmonic(h)
+    third = Fraction(3, n + 3) if n % 3 == 0 else 0
+    if n % 2 == 0:
+        total = Fraction(n + 1, 2) * H + Fraction(3, 4) * H_h - Fraction(2 * n + 1, 2)
+    else:
+        total = Fraction(n, 2) * H + Fraction(5, 4) * H_h - n
+    return (total + Fraction(1, h + 1) + third) / (3 * round(n * n / 12))
+
+
+def test_avg3_harmonic_closed_form():
+    # ROADMAP item 7's lower end: c_i = ⌊(n − i)/2⌋ + [2i < n] + [3i = n] summed in closed form
+    table = CountTable()
+    for n in range(3, 401):
+        assert _avg3_harmonic(n) == avg(n, 3, table), n
+    for n in range(3, 13):
+        assert _avg3_harmonic(n) == _avg_by_enumeration(n, 3)
+    assert _avg3_harmonic(4) == Fraction(4, 9)  # ⟨2, 1, 1⟩: (1/3 + 1/2 + 1/2)/3
+
+
+def test_fixed_length_columns_are_monotone_to_600():
+    # ROADMAP item 13: Avg(n, ℓ) <= Avg(n, ℓ + 1) on the columns ℓ = 1..5 for every n <= 600,
+    # past the n <= 200 that `conjecture` scans; one table, each cell computed once
+    table = CountTable()
+    for n in range(2, 601):
+        column = [avg(n, l, table) for l in range(1, min(n, 6) + 1)]
+        assert column == sorted(column), n
+
+
 def test_avg3_ratio_diagnostics():
     # bound·n/ln(n) climbs toward 2; convergence is logarithmic, so desk
     # scale only sees the trend and a loose window

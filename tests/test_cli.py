@@ -412,7 +412,8 @@ def _full_partition_at(s):
 # (argv, expected, real).  expected is the limit the one `error:` line names,
 # the exact stderr, or None for a call that exits 0.  A row runs with the
 # engines stubbed, unless real: its refusal follows the work, is
-# collision_search's own, or must come before work that would take over 1 s.
+# collision_search's own, or must come before work that would take over 1 s;
+# or collision_search answers it at once.
 # REFUSALS opens with the limits on a partition's work, print size and
 # estimates, which test_oversized_partition_work_exits_1 runs; test_refusal
 # runs the other rows.
@@ -528,18 +529,23 @@ REFUSALS = [
     (["density", "--target", "1e-9", "--epsilon", "1/10^4000", "--full-partition", "--format", "json"],
      MAX_LARGEST_PART, True),
     (["collide", "--n", "60", "--length", "5", "--order", "3"], None, False),  # 1,178,240 steps
-    (["collide", "--n", "4473", "--length", "1", "--order", "1"], None, False),  # 2·k = 8,946
-    (["collide", "--n", "1414", "--length", "1", "--order", "1414"], MAX_COLLIDE_STEPS, False),
     (["collide", "--n", "200", "--length", "10", "--order", "2"], MAX_COLLIDE_STEPS, False),
     (["collide", "--n", "10000000000", "--length", "5", "--order", "2"], MAX_COLLIDE_STEPS, False),
     # counting these p(n, ℓ) would take 2.5·10^11 steps: the parts <= 2 bound refuses first
     (["collide", "--n", "1000000", "--length", "499999", "--order", "2"], MAX_COLLIDE_STEPS, False),
-    (["collide", "--n", "1413", "--length", "1", "--order", "1413"], None, False),  # 1,997,982
-    (["collide", "--n", "1414", "--length", "1", "--order", "5000"], MAX_COLLIDE_STEPS, False),
-    (["collide", "--n", "1000000", "--length", "1", "--order", "1"], None, False),  # 2·k = 2·10^6
-    (["collide", "--n", "1000001", "--length", "1", "--order", "1"], MAX_COLLIDE_STEPS, False),
-    (["collide", "--n", "159", "--length", "2", "--order", "159"], None, False),  # 1,984,638
-    (["collide", "--n", "160", "--length", "2", "--order", "160"], MAX_COLLIDE_STEPS, False),
+    # p(n, 2) = ⌊n/2⌋ is the parts <= 2 bound: ⌊n/2⌋·2(n − 1) steps at d = 1 for both checks
+    (["collide", "--n", "1415", "--length", "2", "--order", "1"], None, False),  # 1,999,396
+    (["collide", "--n", "1416", "--length", "2", "--order", "1"], MAX_COLLIDE_STEPS, False),
+    # at d >= ℓ no two partitions share f^(0..d)(1) (Newton's identities), so no step is
+    # estimated or taken, whatever n
+    (["collide", "--n", "4473", "--length", "1", "--order", "1"], None, True),
+    (["collide", "--n", "1413", "--length", "1", "--order", "1413"], None, True),
+    (["collide", "--n", "1414", "--length", "1", "--order", "1414"], None, True),
+    (["collide", "--n", "1414", "--length", "1", "--order", "5000"], None, True),
+    (["collide", "--n", "1000000", "--length", "1", "--order", "1"], None, True),
+    (["collide", "--n", "1000001", "--length", "1", "--order", "1"], None, True),
+    (["collide", "--n", "159", "--length", "2", "--order", "159"], None, True),
+    (["collide", "--n", "160", "--length", "2", "--order", "160"], None, True),
     # d <= −1 made the estimates' factor (min(d, k) + 1)·k <= 0, so p(400000,
     # 200000) was counted (11 s) before collision_search refused
     (["collide", "--n", "400000", "--length", "200000", "--order", "0"], BAD_ORDER, True),
@@ -860,6 +866,16 @@ def test_collide_one_part_at_the_step_limit_answers_at_once():
     assert status == 0 and text == "no collisions\n"
 
 
+@pytest.mark.parametrize("argv", ["--n 437 --length 2 --order 20", "--n 1414 --length 3 --order 3"])
+def test_collide_at_order_length_or_more_answers_at_once(argv):
+    # f^(0..ℓ)(1) fix ℓ parts, so at d >= ℓ nothing is keyed: the first call keyed
+    # all 218 partitions of 437 into 2 parts on 19 orders in 3.2–6.0 s
+    start = time.perf_counter()
+    status, text = _run(["collide", *argv.split()])
+    assert time.perf_counter() - start < 1
+    assert status == 0 and text == "no collisions\n"
+
+
 def test_full_size_collide_golden():
     # the benchmark's collide call, pinned from the code that sliced full profiles
     status, text = _run(["collide", "--n", "60", "--length", "5", "--order", "3", "--format", "json"])
@@ -1127,7 +1143,7 @@ CLI_CALLS = {
     "conjecture --max-n 20": 5,
     "density --target 1/3 --epsilon 1/10^6": 5,
     "collide --n 36 --length 6 --order 4": 5,  # the README's PTE pair
-    "collide --n 1000000 --length 1 --order 1": 5,  # 2·k = MAX_COLLIDE_STEPS
+    "collide --n 1000000 --length 1 --order 1": 5,  # d >= ℓ: answered with no step
     "count --n <NINES> --length 0": 1,  # p(n, 0) = 0 builds no n + 1 cells
 }
 

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import partpoly.search
 from partpoly import (
+    CollisionReport,
     DomainError,
     Partition,
     collision_search,
@@ -78,6 +79,22 @@ def test_distinguishing_order_matches_padded_profiles(a, b, equal):
     assert distinguishing_order(lam, mu) == _first_padded_profile_difference(lam, mu)
 
 
+SAME_LENGTH = st.integers(min_value=1, max_value=7).flatmap(
+    lambda l: st.tuples(*[st.lists(st.integers(min_value=1, max_value=30), min_size=l, max_size=l)] * 2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(([19, 15, 11, 3, 2], [18, 17, 9, 5, 1]))  # an ideal PTE pair meets the bound
+@example(([3, 1], [2, 2]))
+@given(SAME_LENGTH)
+def test_newton_bounds_distinguishing_order_by_the_length(pair):
+    # equal M_1..M_ℓ fix ℓ parts, so unequal partitions of one length ℓ differ at an order <= ℓ
+    lam, mu = (Partition.from_parts(parts) for parts in pair)
+    assume(lam != mu)
+    assert distinguishing_order(lam, mu) <= lam.length == mu.length
+
+
 @pytest.mark.parametrize("n, first, second", [
     # {0,4,8,16,17} / {1,2,10,14,18}, an ideal Prouhet–Tarry–Escott pair of
     # degree 4 (Borwein & Ingalls 1994), shifted by 1
@@ -148,14 +165,37 @@ def test_collision_search_length_one_never_collides():
         assert collision_search(n, 1, 3).groups == ()
 
 
-def test_one_partition_lengths_report_without_enumerating(monkeypatch):
-    # p(n, ℓ) = 1 exactly at ℓ = 1 and ℓ >= n − 1, so those searches never enumerate
+def test_order_at_least_length_reports_without_enumerating(monkeypatch):
+    # M_1..M_ℓ fix ℓ parts, so a search at d >= ℓ answers before enumerating;
+    # below it, the lengths with p(n, ℓ) = 1 (ℓ = 1 and ℓ >= n − 1) enumerate
+    # their one partition, whose largest part is at most 2
     for n in range(1, 40):
         single = [l for l in range(1, n + 1) if count_partitions(n, l) == 1]
         assert single == sorted({1, *range(max(n - 1, 1), n + 1)})
-    monkeypatch.setattr(partpoly.search, "iter_partitions", None)
-    for n, length in ((1, 1), (2, 1), (9, 1), (9, 8), (9, 9), (10 ** 6, 1)):
-        assert collision_search(n, length, 5) == (n, length, 5, (), ())
+    calls, enumerate_partitions = [], partpoly.search.iter_partitions
+
+    def spy(n, length):
+        calls.append((n, length))
+        return enumerate_partitions(n, length)
+
+    monkeypatch.setattr(partpoly.search, "iter_partitions", spy)
+    for n, length, order in ((1, 1, 1), (9, 1, 5), (9, 8, 8), (9, 9, 20), (10 ** 6, 1, 1),
+                             (160, 2, 160), (437, 2, 20), (1414, 3, 3), (10 ** 6, 10 ** 5, 10 ** 5)):
+        assert collision_search(n, length, order) == CollisionReport(n, length, order, (), ())
+    assert calls == []
+    for n, length in ((9, 8), (9, 9), (40, 39)):
+        assert collision_search(n, length, length - 1) == (n, length, length - 1, (), ())
+    assert calls == [(9, 8), (9, 9), (40, 39)]
+
+
+@pytest.mark.parametrize("order_past_length", [0, 1])
+def test_no_collision_at_order_length_or_more_by_brute_force(order_past_length):
+    # every partition of n <= 24, grouped on its whole prefix f^(0..d)(1) at d = ℓ or ℓ + 1
+    for n in range(1, 25):
+        for length in range(1, n + 1):
+            d = length + order_past_length
+            keys = [tuple(derivative_values(p, 1)[: d + 1]) for p in iter_partitions(n, length)]
+            assert len(set(keys)) == len(keys), (n, length)
 
 
 def test_collision_search_domain():
