@@ -49,8 +49,9 @@ MAX_VALUE_BITS = _PRINT_BOUND.bit_length() - 1
 
 # `derived-seq` prints each m_i ≠ 0 in λ^(0..i−1), about k³ digits for k ones (800:
 # 332 MB in 11.8 s, 459 MB RSS), so it refuses a bound on those digits past this first.
-# The slowest allowed, m_1558 = 1 with m_700 = ⌊10^4299/700!⌋ (9.7·10^6), takes 2.2 s as
-# a table and 3.5 s as JSON, 116 MB; `--parts 1558` (6.7·10^6) 1.1 and 2.2 s.
+# The slowest allowed, m_1558 = 1 with m_700 = ⌊10^4299/700!⌋ (9.7·10^6), takes 1.7 s and
+# 44 MB as a table, 2.2 s and 38 MB as JSON; `--parts 1558` (6.7·10^6) 0.8 s and 38 MB,
+# 1.3–1.7 s and 34 MB (processes, 2-vCPU Xeon VM).
 MAX_DERIVED_SEQ_DIGITS = 10 ** 7
 
 # `count` refuses a call whose step estimate passes this: n^1.5 for p(n),
@@ -149,15 +150,20 @@ def _partition(args):
     return Partition(args.mults)
 
 
+def _partition_json(p):
+    """A partition's JSON form, built by the encoder as it writes `p`."""
+    return {"multiplicities": [str(m) for m in p.multiplicities]}
+
+
 def _emit(rows, doc, fmt, out):
     """Write `rows` (list of dicts, shared keys; None prints empty) as table
-    or CSV, or `doc` as JSON.  Exact values are identical across formats by
-    construction.  json and csv are imported only for their format, so a
-    table run starts without them."""
+    or CSV, or `doc` as JSON.  Either may hold a Partition: a cell prints
+    str(p), JSON `_partition_json(p)`.  json and csv are imported only for
+    their format, so a table run starts without them."""
     if fmt == "json":
         import json
 
-        json.dump(doc, out, indent=2)
+        json.dump(doc, out, indent=2, default=_partition_json)
         out.write("\n")
     elif rows:
         keys = list(rows[0])
@@ -187,14 +193,14 @@ def _cmd_stats(args):
     supernorm = p.supernorm()
     _refuse_unprintable([supernorm], "the supernorm")  # norm <= supernorm, as i <= p_i
     row = {
-        "partition": str(p),
+        "partition": p,
         "length": p.length,
         "size": p.size,
         "largest_part": p.largest_part,
         "norm": p.norm(),
         "supernorm": supernorm,
     }
-    return [row], dict(row, partition=p.to_json()), None
+    return [row], row, None
 
 
 def _cmd_poly(args):
@@ -230,7 +236,7 @@ def _cmd_derivatives(args):
         }
         for d, value in enumerate(values, d or 0)
     ]
-    doc = {"partition": p.to_json(), "at": format_rational(x), "values": rows}
+    doc = {"partition": p, "at": format_rational(x), "values": rows}
     return rows, doc, None
 
 
@@ -238,14 +244,13 @@ def _cmd_derived_seq(args):
     p = _partition(args)
     digits = _refuse_all_orders(p)
     _refuse_over(digits, MAX_DERIVED_SEQ_DIGITS, "derived-seq would print up to {} digits")
-    shown = Partition.to_json if args.format == "json" else str  # the printed form only
     rows, dp = [], p
     for d in range(p.largest_part + 1):
         length, size = dp.length, dp.size
         _refuse_unprintable([size])  # size >= length; each m_i < 10^4300 already
-        rows.append({"order": d, "partition": shown(dp), "length": str(length), "size": str(size)})
+        rows.append({"order": d, "partition": dp, "length": str(length), "size": str(size)})
         dp = derived_partition(dp, 1)
-    return rows, {"partition": rows[0]["partition"], "sequence": rows}, None
+    return rows, {"partition": p, "sequence": rows}, None
 
 
 def _cmd_integral(args):
@@ -256,7 +261,7 @@ def _cmd_integral(args):
         "integral": format_rational(value),
         "decimal": rational_to_decimal(value, args.decimal_digits),
     }
-    return [row], dict(row, partition=p.to_json()), None
+    return [row], dict(row, partition=p), None
 
 
 def _avg_row(n, length, value, digits, table):
@@ -364,7 +369,7 @@ def _cmd_density(args):
         "result": _step_summary(trace.steps[-1]),
     }
     if full_partition:
-        doc["result_partition"] = trace.result.to_json()
+        doc["result_partition"] = trace.result
     decimal = rational_to_decimal(trace.achieved_error, args.decimal_digits)
     return rows, doc, f"achieved_error: {doc['achieved_error']} (= {decimal})"
 
@@ -382,11 +387,12 @@ def _cmd_collide(args):
         _refuse_over(count_partitions(n, length) * side, MAX_COLLIDE_STEPS, message)
     report = collision_search(n, length, args.order)
     rows = [
-        {"group": gi, "partition": str(p), "profile_prefix": ",".join(map(str, key))}
+        {"group": gi, "partition": p, "profile_prefix": ",".join(map(str, key))}
         for gi, (key, group) in enumerate(zip(report.keys, report.groups))
         for p in group
     ]
-    return rows, report.to_json(), None if report.groups else "no collisions"
+    doc = {"n": n, "length": length, "order": args.order, "groups": report.groups}
+    return rows, doc, None if report.groups else "no collisions"
 
 
 def _cmd_count(args):

@@ -45,7 +45,8 @@ def _extend_primes(count):
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
-    _primes[:] = itertools.compress(range(bound + 1), sieve)
+    _primes.clear()  # extend builds no second list of the new table's length
+    _primes.extend(itertools.compress(range(bound + 1), sieve))
 
 
 def nth_prime(i):

@@ -79,9 +79,6 @@ class Partition:
         """Combine two partitions by adding multiplicities componentwise."""
         return Partition(map(sum, itertools.zip_longest(self._mults, other._mults, fillvalue=0)))
 
-    def to_json(self):
-        return {"multiplicities": [str(m) for m in self._mults]}
-
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented

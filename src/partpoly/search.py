@@ -32,14 +32,6 @@ class CollisionReport(namedtuple("CollisionReport", "n length order groups keys"
 
     __slots__ = ()
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "length": self.length,
-            "order": self.order,
-            "groups": [[p.to_json() for p in g] for g in self.groups],
-        }
-
 
 def collision_search(n, length, order):
     """Group all partitions of n into `length` parts by the exact profile

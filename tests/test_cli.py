@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import partpoly.cli
 import partpoly.search
 from partpoly import (
     AvgReport,
@@ -370,6 +371,28 @@ def test_collide_json():
     doc = json.loads(text)
     groups = [{_from_json(p) for p in g} for g in doc["groups"]]
     assert {Partition.from_parts([6, 5, 1]), Partition.from_parts([7, 3, 2])} in groups
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("argv, printed", [
+    ("collide --n 12 --length 3 --order 2", 4),
+    ("stats --parts 5,2,2,1", 1),
+    ("integral --parts 5,2,2,1", 1),
+    ("derivatives --parts 5,2,2,1", 1),
+    ("derived-seq --mults 1,0,3,1", 6),  # the input, then λ^(0..4)
+    ("density --target 1/3 --epsilon 1/1000 --full-partition", 1),
+])
+def test_only_json_output_builds_a_partitions_json_form(argv, printed, fmt, monkeypatch):
+    seen = []
+    real = partpoly.cli._partition_json
+    monkeypatch.setattr(partpoly.cli, "_partition_json", lambda p: seen.append(p) or real(p))
+    status, text = _run(argv.split() + ["--format", fmt])
+    assert status == 0
+    if fmt == "json":
+        assert len(seen) == printed == text.count('"multiplicities"')
+        assert all(type(p) is Partition for p in seen)
+    else:
+        assert seen == []
 
 
 def test_count_subcommand():

@@ -1,6 +1,8 @@
 """The four result records are named tuples: fixed fields, the keyword repr
 they had as frozen dataclasses, immutable, and equal and hashed by value."""
 
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from partpoly import (
     avg_table,
     collision_search,
 )
+from partpoly.cli import run
 
 REPRS = [
     (
@@ -62,7 +65,9 @@ def test_record_properties():
     trace = approximate(Fraction(1, 3), Fraction(1, 4))
     assert trace.steps[0].partition == Partition([4, 0, 0, 4])  # α(4) ⊕ β(4)
     assert trace.result == trace.steps[-1].partition
-    assert collision_search(9, 3, 2).to_json() == {
+    out = io.StringIO()
+    assert run(["collide", "--n", "9", "--length", "3", "--order", "2", "--format", "json"], out) == 0
+    assert json.loads(out.getvalue()) == {
         "n": 9,
         "length": 3,
         "order": 2,

@@ -1,3 +1,6 @@
+import io
+import json
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -12,6 +15,7 @@ from partpoly import (
     distinguishing_order,
     iter_partitions,
 )
+from partpoly.cli import run
 
 
 def _smallest_collision_size(length, order, n_max):
@@ -239,7 +243,9 @@ def test_smallest_length5_order2_collision_is_11():
 
 
 def test_report_json_schema():
-    doc = collision_search(12, 3, 2).to_json()
+    out = io.StringIO()
+    assert run(["collide", "--n", "12", "--length", "3", "--order", "2", "--format", "json"], out) == 0
+    doc = json.loads(out.getvalue())
     assert doc["n"] == 12 and doc["length"] == 3 and doc["order"] == 2
     for group in doc["groups"]:
         for part in group:
