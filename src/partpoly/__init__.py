@@ -7,6 +7,8 @@ from .calculus import (
     derived_partition,
     diff,
     evaluate,
+    integral,
+    normalized_eval,
     poly_of,
 )
 from .averages import (
@@ -18,8 +20,8 @@ from .averages import (
     check_conjecture,
 )
 from .density import DensityStep, DensityTrace, alpha, approximate, beta
-from .errors import DomainError
 from .exact import (
+    DomainError,
     format_rational,
     harmonic,
     nth_prime,
@@ -27,7 +29,6 @@ from .exact import (
     rational_to_decimal,
     stirling2,
 )
-from .integrals import integral, normalized_eval
 from .partitions import (
     CountTable,
     Partition,

@@ -16,8 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
-from .errors import DomainError
-from .exact import harmonic
+from .exact import DomainError, harmonic
 from .partitions import CountTable, count_partitions, multiplicity_profile
 
 

@@ -1,4 +1,4 @@
-"""Partition polynomials and their derivatives.
+"""Partition polynomials, their derivatives and their normalized integrals.
 
 A polynomial is its tuple of integer coefficients in degree-ascending order;
 poly_of and diff leave no trailing zero, so the zero polynomial is ().  One
@@ -7,6 +7,10 @@ Horner's rule; all of them at once are one integer Taylor shift of the tuple,
 Horner's rule repeated.  The paper's Stirling-number recursion is kept as the
 independent oracle: the test suite asserts exact agreement between the two on
 every partition it touches.
+
+The normalized polynomial f_λ/ℓ of a nonempty partition runs from (0, 0) to
+(1, 1) under y = x; its integral (1/ℓ) Σ m_i/(i+1) lies in (0, 1/2], with 1/2
+exactly at the all-ones partitions.
 """
 
 import math
@@ -14,8 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .errors import DomainError
-from .exact import stirling2
+from .exact import DomainError, stirling2
 from .partitions import Partition
 
 
@@ -113,3 +116,25 @@ def derived_partition(partition, d):
     f_{λ^(d)} once gives f_λ^(d+1), so λ^(d+1) = (λ^(d))^(1): the whole
     sequence is a walk of first derived partitions.  Empty for d ≥ k."""
     return Partition(diff(poly_of(partition), d)[1:])
+
+
+def normalized_eval(partition, x):
+    """Exact value of the normalized partition polynomial at x ∈ [0, 1]."""
+    if partition.is_empty:
+        raise DomainError("normalized polynomial undefined for the empty partition")
+    x = Fraction(x)
+    if x < 0 or x > 1:
+        raise DomainError("normalized polynomial is defined on [0, 1] only")
+    return evaluate(poly_of(partition), x) / partition.length
+
+
+def integral(partition):
+    """∫₀¹ of the normalized partition polynomial: (1/ℓ) Σ m_i/(i+1), as
+    Σ m_i·(D/(i+1)) / (D·ℓ) with D the lcm of i + 1 over the part sizes i
+    present (not over 2..k + 1), so there is one integer sum and one gcd."""
+    if partition.is_empty:
+        raise DomainError("integral undefined for the empty partition")
+    mults = partition.multiplicities  # enumerate from 2 yields (i + 1, m_i)
+    d = math.lcm(*(j for j, m in enumerate(mults, start=2) if m))
+    total = sum(m * (d // j) for j, m in enumerate(mults, start=2) if m)
+    return Fraction(total, d * partition.length)

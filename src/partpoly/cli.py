@@ -12,11 +12,13 @@ import os
 import sys
 
 from .averages import avg, avg_table, check_conjecture
-from .calculus import derivative_values, derived_partition, diff, evaluate, poly_of
+from .calculus import (
+    derivative_values, derived_partition, diff, evaluate, integral, poly_of,
+)
 from .density import approximate, plan
-from .errors import DomainError
-from .exact import format_rational, nth_prime, parse_rational, rational_to_decimal
-from .integrals import integral
+from .exact import (
+    DomainError, format_rational, nth_prime, parse_rational, rational_to_decimal,
+)
 from .partitions import CountTable, Partition, count_partitions
 from .search import collision_search
 
@@ -56,14 +58,14 @@ MAX_VALUE_BITS = _PRINT_BOUND.bit_length() - 1
 MAX_DERIVED_SEQ_DIGITS = 10 ** 7
 
 # `count` refuses a call whose step estimate passes this: n^1.5 for p(n),
-# (n − ℓ)·ℓ for p(n, ℓ), and (n − ℓ)^1.5 once ℓ >= n − ℓ.  10^7 steps take
-# 0.9 s for p(46,000) and 1.3 s for p(10^5, 100); p(10^5) takes 4.8 s.
+# (n − ℓ)·ℓ for p(n, ℓ), and (n − ℓ)^1.5 once ℓ >= n − ℓ.  10^7 steps take 0.61–0.65 s
+# for p(46,000) and 0.70–0.82 s for p(10^5, 100); p(10^5) takes 2.1 s in-process.
 MAX_COUNT_STEPS = 10 ** 7
 
 # `avg`, `avg-table` and `conjecture` fill the CountTable triangle, (n+1)(n+2)/2
-# ints of about 36 bytes: `avg --n 3000` fills 4.5·10^6 cells in 0.9–1.4 s and
-# 160 MB.  `avg-table` then builds n profiles over one lcm (n = 1000: 0.9–1.4 s),
-# and `conjecture` runs it for every n up to its bound (200: 1.2–2.4 s).
+# ints of about 36 bytes: `avg --n 3000` fills 4.5·10^6 cells in 0.42–0.54 s and
+# 161 MB.  `avg-table` then builds n profiles over one lcm (n = 1000: 0.61–0.82 s),
+# and `conjecture` runs it for every n up to its bound (200: 0.97–1.09 s).
 MAX_TABLE_CELLS = 5 * 10 ** 6
 MAX_AVG_TABLE_N = 1000
 MAX_CONJECTURE_N = 200
@@ -71,8 +73,8 @@ MAX_CONJECTURE_N = 200
 # `collide --order d < ℓ` keys each of the p(n, ℓ) partitions on orders 2..min(d, k) in
 # about (min(d, k) − 1)·k Fraction steps, k <= n − ℓ + 1 its largest part (d >= ℓ
 # answers at once).  Its refusal past p(n, ℓ)·(min(d, k) + 1)·k steps is conservative:
-# `collide --n 60 --length 5 --order 3` is 1.18·10^6 steps and takes 1.3 s; the slowest
-# allowed found, `--n 63 --length 5 --order 4`, 1.3–2.2 s as a process (same VM).
+# `collide --n 60 --length 5 --order 3` is 1.18·10^6 steps and takes 0.70–0.84 s; the
+# slowest allowed found, `--n 63 --length 5 --order 4`, 1.15–1.26 s (processes, same VM).
 MAX_COLLIDE_STEPS = 2 * 10 ** 6
 
 # `count` up to this n reads the CountTable triangle that `avg` reads (5,151
@@ -83,7 +85,7 @@ TABLE_COUNT_MAX_N = 100
 
 def _int_list(text):
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [int(x) for x in text.split(",")] if text.strip() else []
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a comma-separated list of integers: {text!r}"

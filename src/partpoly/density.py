@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError
+from .exact import DomainError
 from .partitions import Partition
 
 

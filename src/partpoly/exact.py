@@ -1,4 +1,4 @@
-"""Exact arithmetic support: rationals, Stirling numbers, harmonic numbers, primes.
+"""Exact arithmetic: DomainError, rationals, Stirling and harmonic numbers, primes.
 
 Rational values throughout the package are ``fractions.Fraction`` instances,
 which are arbitrary precision and always stored fully reduced with a positive
@@ -12,9 +12,11 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import DomainError
-
 _primes = [2, 3, 5, 7, 11, 13]
+
+
+class DomainError(ValueError):
+    """The package's one exception: a call outside its mathematical domain."""
 
 
 def stirling2(d, j):

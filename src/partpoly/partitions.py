@@ -10,8 +10,7 @@ them by factorial ratios.
 import itertools
 import math
 
-from .errors import DomainError
-from .exact import nth_prime
+from .exact import DomainError, nth_prime
 
 
 class Partition:

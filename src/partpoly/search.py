@@ -10,7 +10,7 @@ the first order that separates a pair (none separates only equal partitions).
 from collections import namedtuple
 
 from .calculus import diff, evaluate, poly_of
-from .errors import DomainError
+from .exact import DomainError
 from .partitions import iter_partitions
 
 

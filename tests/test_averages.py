@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-import partpoly.integrals
+import partpoly.calculus
 from partpoly import (
     CountTable,
     DomainError,
@@ -204,11 +204,11 @@ def test_avg_does_not_call_integral(monkeypatch):
     def refuse(partition):
         raise AssertionError("integral called")
 
-    # every partpoly module that binds integral, partpoly.integrals among them
+    # every partpoly module that binds integral, partpoly.calculus among them
     for name, module in list(sys.modules.items()):
         if name.startswith("partpoly") and getattr(module, "integral", None) is integral:
             monkeypatch.setattr(module, "integral", refuse)
-    assert partpoly.integrals.integral is refuse
+    assert partpoly.calculus.integral is refuse
     assert avg_table(30).values[3] == avg(30, 4) == _avg_by_enumeration(30, 4)
 
 

@@ -1124,6 +1124,9 @@ def test_global_flags_before_subcommand():
     ["integral", "--parts", "2.5"],
     ["stats", "--mults", "1,x"],
     ["derived-seq", "--mults", "1;2"],
+    ["stats", "--mults", "1,,1"],
+    ["integral", "--mults", "1,"],
+    ["stats", "--parts", "3,,1"],
 ])
 def test_malformed_partition_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

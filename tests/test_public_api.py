@@ -10,6 +10,7 @@ import partpoly
 from partpoly import (
     DomainError,
     Partition,
+    avg_table,
     check_conjecture,
     deriv_recursive_eval,
     iter_partitions,
@@ -33,6 +34,7 @@ GUARDS = {
     "moment(-1)": (lambda: Partition([1]).moment(-1), "moment order must be nonnegative"),
     "iter_partitions(-1)": (lambda: iter_partitions(-1), "n must be nonnegative"),
     "iter_partitions(5, 0)": (lambda: iter_partitions(5, 0), "length must be positive"),
+    "avg_table(0)": (lambda: avg_table(0), "need n >= 1"),
     "check_conjecture(0)": (lambda: check_conjecture(0), "need n_max >= 1"),
     "deriv_recursive_eval(p, -1, x)": (
         lambda: deriv_recursive_eval(Partition([1]), -1, 1), "derivative order must be nonnegative"
