@@ -1,6 +1,8 @@
 """Entry point for ``python -m partpoly``."""
 
-from .cli import main
+import sys
+
+from .cli import run
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run())

@@ -493,34 +493,37 @@ def build_parser():
 
 
 def run(argv=None, out=None):
-    """Parse argv (default sys.argv[1:]) and dispatch; returns the process
-    exit status."""
-    args = build_parser().parse_args(argv)
+    """Parse argv (default sys.argv[1:]) and dispatch, writing to a buffered `out` (default
+    sys.stdout) under the 4300-digit int -> str limit; returns the exit status."""
+    # Every print check above assumes Python's default int -> str limit, which
+    # -X int_max_str_digits can change; 3.10.0 to 3.10.6 have no limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(MAX_DECIMAL_DIGITS)
     out = out or sys.stdout
+    # `python -u` would make each json.dump chunk a system call; the flush ends the call.
+    write_through = getattr(out, "write_through", False)
+    if write_through:
+        out.reconfigure(write_through=False)
     try:
+        args = build_parser().parse_args(argv)
         rows, doc, trailer = COMMANDS[args.command][0](args)
         _emit(rows, doc, args.format, out)
         if trailer is not None and args.format != "json":
             out.write(trailer + "\n")
+        out.flush()
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
-
-
-def main():
-    # Every print check above assumes Python's default int -> str limit, which
-    # -X int_max_str_digits can change; 3.10.0 to 3.10.6 have no limit.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(MAX_DECIMAL_DIGITS)
-    # `python -u` would make each json.dump chunk a system call; the flush below ends the call.
-    sys.stdout.reconfigure(write_through=False)
-    try:
-        status = run()
-        sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (`| head`): as Python's signal docs advise,
         # point it at devnull so the flush at exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        status = 1
-    sys.exit(status)
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        if write_through:
+            out.reconfigure(write_through=True)
+    return 0

@@ -49,7 +49,6 @@ from partpoly.cli import (
     MAX_VALUE_BITS,
     PARTITION,
     build_parser,
-    main,
     run,
 )
 from partpoly.density import alpha_integral, plan
@@ -994,27 +993,54 @@ def test_unbuffered_python_prints_what_run_prints():
     assert proc.stdout == _run(args.split())[1]
 
 
-def test_main_buffers_a_write_through_stdout(monkeypatch):
+class _RecordingFile(io.RawIOBase):
+    """An unbuffered file that keeps each write's bytes."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+def test_run_buffers_a_write_through_stream():
     # `python -u` gives stdout a write-through wrapper on an unbuffered file, which
-    # takes one write per json.dump chunk (1,112 here) unless main() buffers it.
-    writes = []
+    # takes one write per json.dump chunk (1,112 here) unless run() buffers it.
+    # The stream is write-through again after a success, a domain error and a
+    # usage error alike.
+    for args, status in [("conjecture --max-n 30 --format json", 0),
+                         ("integral --parts 0,2", 1), ("count --n x", 2)]:
+        file = _RecordingFile()
+        out = io.TextIOWrapper(file, write_through=True)
+        if status == 2:  # a usage error prints only to stderr
+            with pytest.raises(SystemExit) as exc:
+                run(args.split(), out)
+            assert exc.value.code == 2
+            expected = b""
+        else:
+            assert run(args.split(), out) == status
+            expected = _run(args.split())[1].encode()
+        assert out.write_through
+        assert b"".join(file.writes) == expected
+        assert len(file.writes) <= len(expected) // 8192 + 1
 
-    class File(io.RawIOBase):
-        def writable(self):
-            return True
 
-        def write(self, data):
-            writes.append(len(data))
-            return len(data)
-
-    args = "conjecture --max-n 30 --format json".split()
-    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(File(), write_through=True))
-    monkeypatch.setattr(sys, "argv", ["partpoly", *args])
-    with pytest.raises(SystemExit) as exc:
-        main()
-    assert exc.value.code == 0
-    size = len(_run(args)[1].encode())
-    assert sum(writes) == size and len(writes) <= size // 8192 + 1
+def test_run_prints_to_its_own_int_str_limit():
+    # An in-process caller's limit holds outside run(), not inside it.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        out = io.StringIO()
+        argv = "derivatives --parts 1000 --at 0 --order 1000 --format json".split()
+        assert run(argv, out) == 0
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert json.loads(out.getvalue())["values"][0]["value"] == str(math.factorial(1000))
 
 
 def test_cli_prints_to_its_own_int_str_limit():
@@ -1059,8 +1085,8 @@ PINNED_ARGV = {
 
 
 def _cli_digests(args):
-    """Exit status and stdout and stderr digests of the CLI on `args`, run
-    through main() and its argv=None route."""
+    """Exit status and stdout and stderr digests of the CLI on `args`, run as
+    `python -m partpoly`, through run()'s argv=None route."""
     proc = _python("-m", "partpoly", *args.split(), text=False)
     digest = lambda data: hashlib.sha256(data).hexdigest()
     return proc.returncode, digest(proc.stdout), digest(proc.stderr)
