@@ -4,9 +4,9 @@ A polynomial is its tuple of integer coefficients in degree-ascending order;
 poly_of and diff leave no trailing zero, so the zero polynomial is ().  One
 derivative is the formal power-rule derivative of that tuple, evaluated by
 Horner's rule; all of them at once are one integer Taylor shift of the tuple,
-Horner's rule repeated.  The paper's Stirling-number recursion is kept as the
-independent oracle: the test suite asserts exact agreement between the two on
-every partition it touches.
+Horner's rule repeated.  The paper's Stirling-number recursion lives in the
+tests (tests/oracles.py), which assert exact agreement between it and both
+routes on every partition they touch.
 
 The normalized polynomial f_λ/ℓ of a nonempty partition runs from (0, 0) to
 (1, 1) under y = x; its integral (1/ℓ) Σ m_i/(i+1) lies in (0, 1/2], with 1/2
@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .exact import DomainError, stirling2
+from .exact import DomainError
 from .partitions import Partition
 
 
@@ -53,44 +53,6 @@ def evaluate(coeffs, x):
     return acc
 
 
-def deriv_recursive_eval(partition, d, x):
-    """Evaluate the d-th derivative of the partition polynomial at x using
-    the Stirling recursion
-
-        f^(d)(x) = Σ_i i^d·m_i·x^(i-d) − Σ_{j<d} S(d,j)·x^(j-d)·f^(j)(x),
-
-    with lower-order values memoized at the fixed x.  Requires x ≠ 0 because
-    the recursion contains negative powers of x; derivative_values covers
-    x = 0.  Returns 0 for d beyond the largest part.  The CLI computes
-    derivatives formally; this is the paper's theorem and the tests' oracle.
-    """
-    if d < 0:
-        raise DomainError("derivative order must be nonnegative")
-    x = Fraction(x)
-    if x == 0:
-        raise DomainError(
-            "recursive derivative evaluation is undefined at x = 0: the "
-            "recursion contains x^(j-d) terms with negative exponents"
-        )
-    k = partition.largest_part
-    if d > k:
-        return Fraction(0)
-    mults = partition.multiplicities
-    values = []  # values[j] = f^(j)(x)
-    for order in range(d + 1):
-        total = sum(
-            (i ** order) * m * x ** (i - order)
-            for i, m in enumerate(mults, start=1)
-            if m
-        )
-        total -= sum(
-            stirling2(order, j) * x ** (j - order) * values[j]
-            for j in range(order)
-        )
-        values.append(Fraction(total))
-    return values[d]
-
-
 def derivative_values(partition, x):
     """[f^(0)(x), f^(1)(x), ..., f^(k)(x)] at a rational x = a/b (an int or a
     Fraction) by one integer Taylor shift: h(y) = b^k·f(y/b) has the integer
@@ -116,16 +78,6 @@ def derived_partition(partition, d):
     f_{λ^(d)} once gives f_λ^(d+1), so λ^(d+1) = (λ^(d))^(1): the whole
     sequence is a walk of first derived partitions.  Empty for d ≥ k."""
     return Partition(diff(poly_of(partition), d)[1:])
-
-
-def normalized_eval(partition, x):
-    """Exact value of the normalized partition polynomial at x ∈ [0, 1]."""
-    if partition.is_empty:
-        raise DomainError("normalized polynomial undefined for the empty partition")
-    x = Fraction(x)
-    if x < 0 or x > 1:
-        raise DomainError("normalized polynomial is defined on [0, 1] only")
-    return evaluate(poly_of(partition), x) / partition.length
 
 
 def integral(partition):

@@ -23,16 +23,6 @@ def _edge_combination(s, u, v):
     return Partition([u + v * (s - 1)] + [0] * (s - 2) + [u * (s - 1) + v])
 
 
-def alpha(s):
-    """⟨1^1, s^(s-1)⟩, the low-integral edge partition of length s."""
-    return _edge_combination(s, 1, 0)
-
-
-def beta(s):
-    """⟨1^(s-1), s^1⟩, the high-integral edge partition of length s."""
-    return _edge_combination(s, 0, 1)
-
-
 def alpha_integral(s):
     """Closed form (3s − 1)/(2s(s + 1)); decreases to 0."""
     if s < 2:

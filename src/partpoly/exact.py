@@ -1,10 +1,10 @@
-"""Exact arithmetic: DomainError, rationals, Stirling and harmonic numbers, primes.
+"""Exact arithmetic: DomainError, rationals, primes.
 
 Rational values throughout the package are ``fractions.Fraction`` instances,
 which are arbitrary precision and always stored fully reduced with a positive
 denominator.  This module adds the string forms used on the wire ("num/den",
-or "num" for integers), the integer closed forms of S(d, j) and H_n, and the
-prime table, the package's one module-level cache.
+or "num" for integers) and the prime table, the package's one module-level
+cache.
 """
 
 import itertools
@@ -17,26 +17,6 @@ _primes = [2, 3, 5, 7, 11, 13]
 
 class DomainError(ValueError):
     """The package's one exception: a call outside its mathematical domain."""
-
-
-def stirling2(d, j):
-    """Stirling number of the second kind S(d, j), by inclusion–exclusion
-    over surjections: (1/j!)·Σ_{i=0..j} (−1)^(j−i)·C(j, i)·i^d; 0 for j > d."""
-    if d < 0 or j < 0:
-        raise DomainError("stirling2 requires nonnegative arguments")
-    if j > d:
-        return 0
-    total = sum((-1) ** (j - i) * math.comb(j, i) * i ** d for i in range(j + 1))
-    return total // math.factorial(j)
-
-
-def harmonic(n):
-    """The n-th harmonic number H_n = 1 + 1/2 + ... + 1/n, exact: one integer
-    sum Σ L/i over L = lcm(1..n), then one Fraction."""
-    if n < 1:
-        raise DomainError("harmonic requires n >= 1")
-    lcm = math.lcm(*range(1, n + 1))
-    return Fraction(sum(lcm // i for i in range(1, n + 1)), lcm)
 
 
 def _extend_primes(count):
@@ -87,7 +67,9 @@ def _power(base, exp):
 def parse_rational(s):
     """Parse "num/den" or "num" into a Fraction; num and den may also be
     integer powers such as 10^30, so "1/10^30" is accepted, and 1e-30 too."""
-    for exponent in re.findall(r"[eE][+-]?(\d+(?:_\d+)*)", s):
+    if "_" in s:  # Fraction reads "1_000" as 1000 on Python 3.11 and later only
+        raise DomainError(f"not a rational: {s!r}")
+    for exponent in re.findall(r"[eE][+-]?(\d+)", s):
         _power(10, exponent)  # refused as the ^ form is: Fraction(s) builds 10^|e| uncapped
     try:
         return Fraction(s.strip())

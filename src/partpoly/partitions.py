@@ -68,16 +68,6 @@ class Partition:
         """Π p_i^{m_i} over the i-th primes; injective on partitions."""
         return math.prod(nth_prime(i) ** m for i, m in enumerate(self._mults, start=1))
 
-    def moment(self, k):
-        """The k-th moment Σ i^k·m_i; moment(0) = length, moment(1) = size."""
-        if k < 0:
-            raise DomainError("moment order must be nonnegative")
-        return sum(i ** k * m for i, m in enumerate(self._mults, start=1))
-
-    def oplus(self, other):
-        """Combine two partitions by adding multiplicities componentwise."""
-        return Partition(map(sum, itertools.zip_longest(self._mults, other._mults, fillvalue=0)))
-
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented

@@ -3,8 +3,9 @@
 Unequal partitions of the same size and length can share the values of the
 first several derivatives of their partition polynomials at x = 1.  This
 module groups partitions on the exact f''(1), ..., f^(d)(1), the orders that can
-differ, reports each group's prefix f^(0..d)(1) as (ℓ, n) and that key, and finds
-the first order that separates a pair (none separates only equal partitions).
+differ, and reports each group's prefix f^(0..d)(1) as (ℓ, n) and that key.  The
+first order that separates a pair, by the power sums Σ_i i^j·m_i, is the tests'
+oracle (tests/oracles.py).
 """
 
 from collections import namedtuple
@@ -12,17 +13,6 @@ from collections import namedtuple
 from .calculus import diff, evaluate, poly_of
 from .exact import DomainError
 from .partitions import iter_partitions
-
-
-def distinguishing_order(lam, mu):
-    """Smallest d with f_λ^(d)(1) ≠ f_μ^(d)(1); None exactly when λ = μ.
-    f^(d)(1) = Σ_j s(d, j)·M_j for the power sums M_j = Σ_i i^j·m_i, a
-    unitriangular map, so d is also the first order with M_d unequal.  Equal
-    M_0..M_K over the part sizes 1..K, K the larger largest part, form a
-    Vandermonde system that fixes the multiplicities.  By Newton's identities
-    M_1..M_ℓ fix ℓ parts, so d <= ℓ when λ ≠ μ share the length ℓ."""
-    K = max(lam.largest_part, mu.largest_part)
-    return next((d for d in range(K + 1) if lam.moment(d) != mu.moment(d)), None)
 
 
 class CollisionReport(namedtuple("CollisionReport", "n length order groups keys")):

@@ -29,7 +29,6 @@ from partpoly import (
     approximate,
     collision_search,
     count_partitions,
-    deriv_recursive_eval,
     format_rational,
     iter_partitions,
     nth_prime,
@@ -53,6 +52,7 @@ from partpoly.cli import (
 )
 from partpoly.density import alpha_integral, plan
 from partpoly.exact import MAX_POWER_BITS
+from oracles import deriv_recursive_eval
 
 
 def _from_json(doc):

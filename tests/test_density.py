@@ -8,38 +8,47 @@ from hypothesis import example, given, settings, strategies as st
 from partpoly import (
     DomainError,
     Partition,
-    alpha,
     approximate,
-    beta,
     integral,
 )
-from partpoly.density import _bracket_index, alpha_integral, beta_integral, plan
+from partpoly.density import _bracket_index, _edge_combination, alpha_integral, beta_integral, plan
+from oracles import oplus
+
+
+def _alpha(s):
+    return Partition([1] + [0] * (s - 2) + [s - 1])  # ⟨1^1, s^(s-1)⟩
+
+
+def _beta(s):
+    return Partition([s - 1] + [0] * (s - 2) + [1])  # ⟨1^(s-1), s^1⟩
 
 
 def test_alpha_examples():
-    assert alpha(2) == Partition([1, 1])
-    assert integral(alpha(2)) == Fraction(5, 12)
+    assert _alpha(2) == Partition([1, 1])
+    assert integral(_alpha(2)) == Fraction(5, 12)
     for s in (2, 3, 10, 50):
-        assert integral(alpha(s)) == alpha_integral(s)
+        assert _edge_combination(s, 1, 0) == _alpha(s)
+        assert integral(_alpha(s)) == alpha_integral(s)
         assert alpha_integral(s) == (Fraction(1, 2) + Fraction(s - 1, s + 1)) / s
-    assert integral(alpha(1000)) < Fraction(1, 500)
+    assert integral(_alpha(1000)) < Fraction(1, 500)
 
 
 def test_beta_examples():
-    assert beta(2) == Partition([1, 1])
-    assert integral(beta(2)) == Fraction(5, 12)
+    assert _beta(2) == Partition([1, 1])
+    assert integral(_beta(2)) == Fraction(5, 12)
     for s in (2, 3, 10, 50):
-        assert integral(beta(s)) == beta_integral(s)
+        assert _edge_combination(s, 0, 1) == _beta(s)
+        assert integral(_beta(s)) == beta_integral(s)
         assert beta_integral(s) == (Fraction(s - 1, 2) + Fraction(1, s + 1)) / s
-    assert Fraction(1, 2) - integral(beta(1000)) < Fraction(1, 1000)
+    assert Fraction(1, 2) - integral(_beta(1000)) < Fraction(1, 1000)
 
 
 def test_edge_family_domain():
     for bad in (1, 0, -3):
         with pytest.raises(DomainError):
-            alpha(bad)
+            _edge_combination(bad, 1, 0)
         with pytest.raises(DomainError):
-            beta(bad)
+            _edge_combination(bad, 0, 1)
 
 
 def test_edge_family_monotone_limits():
@@ -163,14 +172,14 @@ def _replay_with_oplus(trace):
     # the original search over explicit partitions: δ = low ⊕ high, with
     # the end that is kept doubled by ⊕ with itself
     c, s = trace.target, trace.start_index
-    low, high = alpha(s), beta(s)
+    low, high = _alpha(s), _beta(s)
     for step in trace.steps:
-        delta = low.oplus(high)
+        delta = oplus(low, high)
         yield step, delta
         if c < integral(delta):
-            high, low = delta, low.oplus(low)
+            high, low = delta, oplus(low, low)
         else:
-            low, high = delta, high.oplus(high)
+            low, high = delta, oplus(high, high)
 
 
 @pytest.mark.parametrize(

@@ -31,3 +31,18 @@ def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     )
     assert done.returncode == 1, done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+def test_oracles_import_under_importlib_mode(tmp_path):
+    # importlib mode puts no test directory on sys.path, so `from oracles import`
+    # resolves only through the `pythonpath` setting
+    (tmp_path / "test_o.py").write_text(
+        "from oracles import stirling2\n\n\ndef test_s():\n    assert stirling2(4, 2) == 7\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--import-mode=importlib",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_o.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "1 passed" in done.stdout
