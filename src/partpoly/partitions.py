@@ -102,13 +102,11 @@ def _descend(mults, n, top, length):
         mults[s - 1] = 0
 
 
-def iter_partitions(n, length=None):
-    """Yield all partitions of n (with exactly `length` parts when given),
-    each exactly once, in descending-lexicographic order of part lists."""
+def iter_partitions(n, length):
+    """Yield all partitions of n into exactly `length` parts, each exactly
+    once, in descending-lexicographic order of part lists."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if length is None:  # the shift: λ ⊢ n is λ + 1, padded with ones to n parts, ⊢ 2n
-        return (Partition(m[1:]) for m in _descend([0] * (n + 1), 2 * n, 2 * n, n))
     if length < 1:
         raise DomainError("length must be positive")
     return map(Partition, _descend([0] * (n - length + 1), n, n, length))  # parts <= n − ℓ + 1

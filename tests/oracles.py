@@ -2,7 +2,8 @@
 
 No CLI path needs these: the package takes every derivative by the formal
 power rule or one Taylor shift, every average from the count table and every
-density step from its edge weights.  The tests assert that both routes agree.
+density step from its edge weights, and enumerates only partitions of a fixed
+length.  The tests assert that both routes agree.
 """
 
 import math
@@ -10,6 +11,26 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from partpoly import DomainError, Partition, count_partitions
+
+
+def partitions_of(n, length=None):
+    """Every partition of n (exactly `length` parts when given) in
+    descending-lexicographic order of part lists, placing one part per level,
+    largest first: the recursion is as deep as the longest partition, so small
+    n only."""
+    mults = [0] * n
+
+    def place(rest, max_part, left):
+        if rest == 0 and not left:
+            yield Partition(mults)
+        elif left is None or 0 < left <= rest:
+            low = -(-rest // left) if left else 1
+            for part in range(min(max_part, rest - (left or 1) + 1), low - 1, -1):
+                mults[part - 1] += 1
+                yield from place(rest - part, part, left and left - 1)
+                mults[part - 1] -= 1
+
+    return place(n, n, length)
 
 
 def stirling2(d, j):
@@ -81,15 +102,17 @@ def distinguishing_order(lam, mu):
     return next((d for d in range(K + 1) if moment(lam, d) != moment(mu, d)), None)
 
 
-def avg2_closed_form(n):
+def avg2_closed_form(n, harmonic=None):
     """Harmonic closed form for Avg(n, 2).
 
     Odd n: (H_n − 1) / (2⌊n/2⌋).  Even n: (H_n − 1 + 2/(n+2)) / (2⌊n/2⌋),
     the enumeration-consistent correction of the published 2/n variant.
+    H_n is `harmonic(n)` when given (a running table), else a `Fraction` sum.
     """
     if n < 2:
         raise DomainError("need n >= 2")
-    base = sum(Fraction(1, i) for i in range(1, n + 1)) - 1  # H_n − 1
+    H_n = harmonic(n) if harmonic else sum(Fraction(1, i) for i in range(1, n + 1))
+    base = H_n - 1
     if n % 2 == 0:
         base += Fraction(2, n + 2)
     return base / (2 * (n // 2))

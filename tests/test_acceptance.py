@@ -25,7 +25,7 @@ from partpoly import (
     multiplicity_profile,
     poly_of,
 )
-from oracles import avg2_closed_form, avg3_lower_bound, deriv_recursive_eval, moment, oplus
+from oracles import avg2_closed_form, avg3_lower_bound, deriv_recursive_eval, moment, oplus, partitions_of
 
 
 @contextmanager
@@ -69,7 +69,7 @@ def test_criterion_3_recursion_oracle_equivalence():
         points = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(-1, 3)]
         checked = 0
         for n in range(13):
-            for p in iter_partitions(n):
+            for p in partitions_of(n):
                 poly = poly_of(p)
                 for x in points:
                     q = poly
@@ -84,7 +84,7 @@ def test_criterion_4_integral_bounds_and_formula():
     with criterion(4, "integral bounds and formula", 30.0):
         half = Fraction(1, 2)
         for n in range(1, 16):
-            for p in iter_partitions(n):
+            for p in partitions_of(n):
                 value = integral(p)
                 assert 0 < value <= half
                 assert (value == half) == (p.multiplicities[0] == p.length)
@@ -173,7 +173,7 @@ def test_criterion_10_property_suites():
     with criterion(10, "algebraic property suites", 120.0):
         import random
 
-        pool = [p for n in range(1, 16) for p in iter_partitions(n)]
+        pool = [p for n in range(1, 16) for p in partitions_of(n)]
         rng = random.Random(42)
         for _ in range(500):  # addition formula
             x, y = rng.choice(pool), rng.choice(pool)
@@ -184,7 +184,7 @@ def test_criterion_10_property_suites():
             )
             assert integral(oplus(x, y)) == expected
         for n in range(1, 13):  # idempotence and equal-length mean
-            for p in iter_partitions(n):
+            for p in partitions_of(n):
                 assert integral(oplus(p, p)) == integral(p)
         by_len = {}
         for p in pool:

@@ -4,6 +4,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 
 import pytest
 
@@ -21,7 +22,7 @@ from partpoly import (
     multiplicity_profile,
 )
 from partpoly.cli import MAX_CONJECTURE_N, run
-from oracles import avg2_closed_form, avg3_lower_bound, oplus
+from oracles import avg2_closed_form, avg3_lower_bound, oplus, partitions_of
 
 
 def _profile_by_enumeration(n, length):
@@ -217,7 +218,7 @@ def test_avg_does_not_call_integral(monkeypatch):
 def _b(m):
     # B_m = (1/p(m))·Σ_{μ⊢m} Σ_i m_i·i/(2(i+2)), from enumeration
     total = Fraction(0)
-    for mu in iter_partitions(m):
+    for mu in partitions_of(m):
         total += sum(Fraction(c * i, 2 * (i + 2)) for i, c in enumerate(mu.multiplicities, 1))
     return total / count_partitions(m)
 
@@ -337,9 +338,10 @@ def test_avg3_closed_counts():
         assert avg3_lower_bound(n) <= float(_avg3_exact(n))
 
 
-def _avg3_harmonic(n):
-    """Avg(n, 3) = S/(3·p(n, 3)) in H_{n−1} and H_h, h = ⌊(n − 1)/2⌋.  With j = i + 1,
-    S = Σ_i c_i/(i + 1) splits into three sums over the part counts c_i:
+def _avg3_harmonic(n, harmonic=_harmonic):
+    """Avg(n, 3) = S/(3·p(n, 3)) in H_{n−1} and H_h, h = ⌊(n − 1)/2⌋, both read from
+    `harmonic`.  With j = i + 1, S = Σ_i c_i/(i + 1) splits into three sums over the
+    part counts c_i:
       Σ_{j=2}^{n−1} ⌊(n + 1 − j)/2⌋/j = ((n + 1)/2)(H_{n−1} − 1) − (n − 2)/2 − D, where
         ⌊x/2⌋ = x/2 − [x odd]/2 and x = n + 1 − j is odd exactly when j ≡ n (mod 2):
         D = (1/2)·Σ 1/j over those j, which is H_h/4 for even n and, from the odd
@@ -348,7 +350,7 @@ def _avg3_harmonic(n):
       Σ_{2i < n} 1/(i + 1) = H_{h+1} − 1 = H_h + 1/(h + 1) − 1;
       [3 | n]/(n/3 + 1) = [3 | n]·3/(n + 3)."""
     h = (n - 1) // 2
-    H, H_h = _harmonic(n - 1), _harmonic(h)
+    H, H_h = harmonic(n - 1), harmonic(h)
     third = Fraction(3, n + 3) if n % 3 == 0 else 0
     if n % 2 == 0:
         total = Fraction(n + 1, 2) * H + Fraction(3, 4) * H_h - Fraction(2 * n + 1, 2)
@@ -387,6 +389,14 @@ def test_avg3_ratio_diagnostics():
 def test_avg3_ge_avg2_desk_scale():
     for n in range(4, 51):
         assert avg(n, 3) >= avg(n, 2)
+
+
+def test_avg2_le_avg3_to_3000_by_harmonic_closed_forms():
+    # ROADMAP item 7: both closed forms read one running table of H_n, so no count table
+    # and no n² sum; each is pinned against avg above (n <= 100 and n <= 400)
+    H = list(accumulate((Fraction(1, i) for i in range(1, 3001)), initial=Fraction(0)))
+    for n in range(3, 3001):
+        assert avg2_closed_form(n, H.__getitem__) <= _avg3_harmonic(n, H.__getitem__), n
 
 
 def test_part_count_lower_bound_for_three_parts():

@@ -14,11 +14,10 @@ from partpoly import (
     derived_partition,
     diff,
     evaluate,
-    iter_partitions,
     poly_of,
 )
 from partpoly.cli import run
-from oracles import deriv_recursive_eval, moment
+from oracles import deriv_recursive_eval, moment, partitions_of
 
 LAMBDA1 = Partition.from_parts([5, 2, 2, 1])
 LAMBDA2 = Partition.from_parts([4, 3, 2, 1])
@@ -121,7 +120,7 @@ def test_recursion_equals_oracle_small_sizes():
     # recursion is undefined, and the iterated formal derivative at 0.
     points = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(-1, 3), Fraction(0)]
     for n in range(10):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             poly = poly_of(p)
             for x in points:
                 values = derivative_values(p, x)
@@ -210,7 +209,7 @@ def test_derivative_profile_all_ones():
 
 def test_derivative_profile_invariants():
     for n in range(1, 13):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             profile = derivative_values(p, 1)
             assert profile[0] == p.length
             assert profile[1] == p.size
@@ -243,7 +242,7 @@ def _derived_partition_by_factorials(partition, d):
 
 def test_derived_partition_matches_factorial_formula():
     for n in range(13):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             with pytest.raises(DomainError):
                 derived_partition(p, -1)
             for d in range(p.largest_part + 3):
@@ -264,7 +263,7 @@ def test_derived_partition_polynomials_are_derivatives():
     from math import factorial
 
     for n in range(13):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             for d in range(p.largest_part + 1):
                 coeffs = diff(poly_of(p), d)
                 constant = coeffs[0] if coeffs else 0
@@ -282,7 +281,7 @@ def _falling(i, d):
 
 def test_derived_partition_length_size_closed_forms():
     for n in range(13):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             k = p.largest_part
             for d in range(k + 1):
                 dp = derived_partition(p, d)
@@ -302,7 +301,7 @@ def test_derived_partition_relationship_identity():
     from math import factorial
 
     for n in range(13):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             for d in range(1, p.largest_part + 1):
                 lhs = derived_partition(p, d - 1).size
                 rhs = derived_partition(p, d).length + factorial(d) * p.multiplicities[d - 1]

@@ -52,7 +52,7 @@ from partpoly.cli import (
 )
 from partpoly.density import alpha_integral, plan
 from partpoly.exact import MAX_POWER_BITS
-from oracles import deriv_recursive_eval
+from oracles import deriv_recursive_eval, partitions_of
 
 
 def _from_json(doc):
@@ -831,7 +831,7 @@ def test_count_length_near_n_is_cheap():
 def test_avg_p_n_l_matches_enumeration():
     for n in range(1, 13):
         totals = {}
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             totals[p.length] = totals.get(p.length, 0) + 1
         _, text = _run(["avg-table", "--n", str(n), "--format", "json"])
         assert [v["p_n_l"] for v in json.loads(text)["values"]] == [

@@ -10,10 +10,9 @@ from partpoly import (
     Partition,
     integral,
     evaluate,
-    iter_partitions,
     poly_of,
 )
-from oracles import oplus
+from oracles import oplus, partitions_of
 
 
 def _integral_oracle(p):
@@ -72,7 +71,7 @@ def test_normalized_eval_all_ones_is_identity():
 def test_normalized_eval_dominated_by_x():
     grid = [Fraction(k, 16) for k in range(17)]
     for n in range(1, 13):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             for x in grid:
                 value = _normalized(p, x)
                 assert value <= x
@@ -109,7 +108,7 @@ def test_integral_rejects_empty():
 def test_integral_bounds_and_equality_condition():
     half = Fraction(1, 2)
     for n in range(1, 16):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             value = integral(p)
             assert 0 < value <= half
             assert (value == half) == (p.multiplicities[0] == p.length)
@@ -117,12 +116,12 @@ def test_integral_bounds_and_equality_condition():
 
 def test_integral_matches_antiderivative_oracle():
     for n in range(1, 13):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             assert integral(p) == _integral_oracle(p)
 
 
 def test_addition_formula_randomized():
-    pool = [p for n in range(1, 16) for p in iter_partitions(n)]
+    pool = [p for n in range(1, 16) for p in partitions_of(n)]
     rng = random.Random(20260826)
     for _ in range(500):
         a, b = rng.choice(pool), rng.choice(pool)
@@ -136,12 +135,12 @@ def test_addition_formula_randomized():
 
 def test_idempotence_under_self_sum():
     for n in range(1, 13):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             assert integral(oplus(p, p)) == integral(p)
 
 
 def test_equal_length_mean():
-    pool = [p for n in range(1, 13) for p in iter_partitions(n)]
+    pool = [p for n in range(1, 13) for p in partitions_of(n)]
     by_length = {}
     for p in pool:
         by_length.setdefault(p.length, []).append(p)

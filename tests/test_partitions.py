@@ -13,7 +13,7 @@ from partpoly import (
     iter_partitions,
 )
 from partpoly.cli import _partition_json
-from oracles import moment, oplus
+from oracles import moment, oplus, partitions_of
 
 part_lists = st.lists(st.integers(min_value=1, max_value=9), max_size=8)
 partitions = part_lists.map(Partition.from_parts)
@@ -79,7 +79,7 @@ def test_supernorm_examples():
 def test_supernorm_distinct_across_small_partitions():
     seen = {}
     for n in range(13):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             sn = p.supernorm()
             assert sn not in seen, (p, seen[sn])
             seen[sn] = p
@@ -130,14 +130,21 @@ def test_parts_round_trip(p):
 def test_enumerate_examples():
     assert [_parts(p) for p in iter_partitions(5, 2)] == [[4, 1], [3, 2]]
     assert [_parts(p) for p in iter_partitions(7, 1)] == [[7]]
-    assert list(iter_partitions(0)) == [Partition()]
+    assert list(partitions_of(0)) == [Partition()]
+    with pytest.raises(TypeError):
+        iter_partitions(5)  # the length is required: the package enumerates no other way
 
 
 def test_enumerate_descending_lex_order():
-    listed = [_parts(p) for p in iter_partitions(6)]
-    assert listed == sorted(listed, reverse=True)
-    assert listed[0] == [6]
-    assert listed[-1] == [1] * 6
+    # the oracle's own order and count, and its fixed lengths are the filtered free stream
+    for n in range(21):
+        listed = list(partitions_of(n))
+        parts = [_parts(p) for p in listed]
+        assert all(a > b for a, b in zip(parts, parts[1:]))  # strictly: no repeats
+        assert len(listed) == count_partitions(n)
+        for length in range(1, n + 1):
+            assert list(partitions_of(n, length)) == [p for p in listed if p.length == length]
+    assert parts[0] == [20] and parts[-1] == [1] * 20
 
 
 def test_enumerate_empty_stream_when_infeasible():
@@ -145,24 +152,10 @@ def test_enumerate_empty_stream_when_infeasible():
     assert list(iter_partitions(0, 1)) == []
 
 
-def _one_part_per_level(mults, n, max_part, length):
-    # The order oracle: add one part per level, largest first, exactly
-    # `length` parts unless None (recursion depth ℓ, so small n only).
-    if n == 0 and not length:
-        yield Partition(mults)
-    elif length is None or 0 < length <= n:
-        low = -(-n // length) if length else 1
-        for part in range(min(max_part, n - (length or 1) + 1), low - 1, -1):
-            mults[part - 1] += 1
-            yield from _one_part_per_level(mults, n - part, part, length and length - 1)
-            mults[part - 1] -= 1
-
-
 def test_enumerate_matches_one_part_per_level_order():
     for n in range(26):
-        for length in [None, *range(1, n + 2)]:
-            expected = list(_one_part_per_level([0] * n, n, n, length))
-            assert list(iter_partitions(n, length)) == expected, (n, length)
+        for length in range(1, n + 2):
+            assert list(iter_partitions(n, length)) == list(partitions_of(n, length)), (n, length)
 
 
 def test_enumerate_visits_no_dead_branch(monkeypatch):
@@ -180,7 +173,7 @@ def test_enumerate_visits_no_dead_branch(monkeypatch):
 
     monkeypatch.setattr(partpoly.partitions, "_descend", counted)
     for n in range(1, 21):
-        for length in [None, *range(1, n + 1)]:
+        for length in range(1, n + 1):
             assert sum(1 for _ in iter_partitions(n, length)) == count_partitions(n, length)
     assert empty == []
 
@@ -212,10 +205,11 @@ def test_count_row_sums():
 
 
 def test_count_matches_enumeration():
-    for n in range(21):
-        assert count_partitions(n) == sum(1 for _ in iter_partitions(n))
-        for l in range(1, n + 1):
-            assert count_partitions(n, l) == sum(1 for _ in iter_partitions(n, l))
+    # every partition of n has one length, so the fixed-length streams cover p(n)
+    for n in range(1, 31):
+        counts = [sum(1 for _ in iter_partitions(n, l)) for l in range(1, n + 1)]
+        assert counts == [count_partitions(n, l) for l in range(1, n + 1)]
+        assert sum(counts) == count_partitions(n)
 
 
 def test_count_edge_cases():

@@ -80,7 +80,7 @@ def test_public_names_resolve_and_readme_library_example_runs():
 # Library calls whose guard no CLI path reaches, with the message each raises.
 GUARDS = {
     "Partition([2, -1])": (lambda: Partition([2, -1]), "multiplicities must be nonnegative"),
-    "iter_partitions(-1)": (lambda: iter_partitions(-1), "n must be nonnegative"),
+    "iter_partitions(-1, 1)": (lambda: iter_partitions(-1, 1), "n must be nonnegative"),
     "iter_partitions(5, 0)": (lambda: iter_partitions(5, 0), "length must be positive"),
     "avg_table(0)": (lambda: avg_table(0), "need n >= 1"),
     "check_conjecture(0)": (lambda: check_conjecture(0), "need n_max >= 1"),

@@ -1,5 +1,6 @@
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -15,7 +16,7 @@ from partpoly import (
     iter_partitions,
 )
 from partpoly.cli import run
-from oracles import distinguishing_order, moment
+from oracles import distinguishing_order, moment, partitions_of
 
 
 def _smallest_collision_size(length, order, n_max):
@@ -52,7 +53,7 @@ def test_distinguishing_order_pads_past_largest_part():
 
 def test_distinguishing_order_is_none_only_for_equal_partitions():
     # equal f^(0..K)(1) over part sizes 1..K fix the multiplicities
-    ps = [p for n in range(1, 9) for p in iter_partitions(n)]
+    ps = [p for n in range(1, 9) for p in partitions_of(n)]
     for a in ps:
         for b in ps:
             d = distinguishing_order(a, b)
@@ -99,6 +100,18 @@ def test_newton_bounds_distinguishing_order_by_the_length(pair):
     assert distinguishing_order(lam, mu) <= lam.length == mu.length
 
 
+def _assert_only_collision(n, order, first, second):
+    # equal power sums Σ a^j for j <= d, so equal f^(0..d)(1): the only such
+    # pair of n into len(first) parts
+    power_sums = [sum(x ** j for x in first) - sum(y ** j for y in second) for j in range(order + 2)]
+    assert power_sums[:-1] == [0] * (order + 1) and power_sums[-1]
+    a, b = Partition.from_parts(first), Partition.from_parts(second)
+    assert distinguishing_order(a, b) == order + 1
+    report = collision_search(n, len(first), order)
+    assert report.groups == ((a, b),)
+    assert report.keys == (tuple(derivative_values(a, 1)[: order + 1]),)
+
+
 @pytest.mark.parametrize("n, first, second", [
     # {0,4,8,16,17} / {1,2,10,14,18}, an ideal Prouhet–Tarry–Escott pair of
     # degree 4 (Borwein & Ingalls 1994), shifted by 1
@@ -107,18 +120,24 @@ def test_newton_bounds_distinguishing_order_by_the_length(pair):
     (35, [9, 7, 7, 6, 2, 2, 2], [8, 8, 8, 4, 3, 3, 1]),
 ])
 def test_pte_pair_is_the_only_order_4_collision(n, first, second):
-    # equal power sums Σ a^j for j <= 4, so equal f^(0..4)(1): the only such
-    # pair of n into len(first) parts
-    power_sums = [sum(x ** j for x in first) - sum(y ** j for y in second) for j in range(6)]
-    assert power_sums[:5] == [0] * 5 and power_sums[5]
-    a, b = Partition.from_parts(first), Partition.from_parts(second)
-    assert distinguishing_order(a, b) == 5
-    report = collision_search(n, len(first), 4)
-    assert report.groups == ((a, b),)
-    assert report.keys == (tuple(derivative_values(a, 1)[:5]),)
+    _assert_only_collision(n, 4, first, second)
 
 
-# (5, 4) -> 50 and (6, 5) -> 54 also hold, but their scans take 6 s and 20 s
+def test_order_5_pair_is_the_only_order_5_collision():
+    # the smallest (ℓ, d) = (6, 5) collision, pinned below
+    _assert_only_collision(54, 5, [17, 14, 12, 6, 4, 1], [16, 16, 9, 9, 2, 2])
+
+
+@pytest.mark.parametrize("length, order, n", [(5, 4, 50), (6, 5, 54)])
+def test_smallest_collision_size_by_power_sums(length, order, n):
+    # equal f^(0..d)(1) means equal M_0..M_d, and M_0 = ℓ, M_1 = size are fixed, so
+    # grouping on M_2..M_d finds the first collision without the search's keys: none
+    # below n and one pair at n, the pair the search reports above
+    for size in range(length, n + 1):
+        keys = Counter(tuple(moment(p, j) for j in range(2, order + 1)) for p in iter_partitions(size, length))
+        assert [c for c in keys.values() if c > 1] == ([2] if size == n else []), size
+
+
 @pytest.mark.parametrize("length, order, n", [(3, 2, 9), (4, 3, 18), (6, 4, 36), (7, 4, 35)])
 def test_smallest_collision_size_fixtures(length, order, n):
     assert _smallest_collision_size(length, order, n_max=n) == n
@@ -218,7 +237,7 @@ def test_second_derivative_closed_form_in_groups():
 
 def test_pigeonhole_bound_on_second_derivative():
     for n in (6, 10, 14):
-        for p in iter_partitions(n):
+        for p in partitions_of(n):
             if p.largest_part >= 2:
                 assert derivative_values(p, 1)[2] <= n ** 3 - n
 
