@@ -496,10 +496,9 @@ def run(argv=None, out=None):
     """Parse argv (default sys.argv[1:]) and dispatch, writing to a buffered `out` (default
     sys.stdout) under the 4300-digit int -> str limit; returns the exit status."""
     # Every print check above assumes Python's default int -> str limit, which
-    # -X int_max_str_digits can change; 3.10.0 to 3.10.6 have no limit.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(MAX_DECIMAL_DIGITS)
+    # -X int_max_str_digits can change.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DECIMAL_DIGITS)
     out = out or sys.stdout
     # `python -u` would make each json.dump chunk a system call; the flush ends the call.
     write_through = getattr(out, "write_through", False)
@@ -522,8 +521,7 @@ def run(argv=None, out=None):
             os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return 1
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
         if write_through:
             out.reconfigure(write_through=True)
     return 0

@@ -55,13 +55,14 @@ _RATIONAL_WITH_POWERS = re.compile(rf"([+-]?){_POWER_TERM}(?:/{_POWER_TERM})?")
 
 
 def _power(base, exp):
+    """The integers (b, e) of b^e, checked against MAX_POWER_BITS; the caller builds b ** e."""
     try:
         base, exp = int(base), int(exp or 1)
     except ValueError:  # a digit string past Python's int <-> str limit
         raise DomainError("not a rational: a number has too many digits") from None
     if (base.bit_length() - 1) * exp > MAX_POWER_BITS:
         raise DomainError(f"{base}^{exp} exceeds {MAX_POWER_BITS} bits")
-    return base ** exp
+    return base, exp
 
 
 def parse_rational(s):
@@ -78,8 +79,8 @@ def parse_rational(s):
         if not match:
             raise DomainError(f"not a rational: {s!r}") from exc
     sign, num, num_exp, den, den_exp = match.groups()
-    numerator = _power(num, num_exp)
-    denominator = 1 if den is None else _power(den, den_exp)
+    terms = _power(num, num_exp), _power(den or 1, den_exp)  # both checked before either is built
+    numerator, denominator = (base ** exp for base, exp in terms)
     if denominator == 0:
         raise DomainError(f"not a rational: {s!r}")
     return Fraction(-numerator if sign == "-" else numerator, denominator)

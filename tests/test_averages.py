@@ -309,6 +309,18 @@ def test_avg1_le_avg2_up_to_200():
         assert Fraction(1, n + 1) <= avg2_closed_form(n)
 
 
+def test_avg1_le_avg2_chain_to_5000():
+    # ROADMAP item 13's first pair, proved in the README for every n: Avg(n, 1) = 1/(n + 1)
+    # <= (H_n − 1)/n <= Avg(n, 2) for n >= 3, the right link because 2⌊n/2⌋ <= n and the
+    # even-n term is >= 0, the left one as H_n >= 2 − 1/(n + 1); each link checked exactly
+    H = list(accumulate((Fraction(1, i) for i in range(1, 5001)), initial=Fraction(0)))
+    assert Fraction(1, 3) <= avg2_closed_form(2) == Fraction(1, 2)
+    assert H[3] == Fraction(11, 6) >= Fraction(7, 4)
+    for n in range(3, 5001):
+        assert H[n] >= 2 - Fraction(1, n + 1), n
+        assert Fraction(1, n + 1) <= (H[n] - 1) / n <= avg2_closed_form(n, H.__getitem__), n
+
+
 def test_avg2_asymptotic_sanity():
     for n in (10 ** 3, 10 ** 4):
         ratio = float(avg2_closed_form(n)) * n / math.log(n)

@@ -1029,18 +1029,36 @@ def test_run_buffers_a_write_through_stream():
         assert len(file.writes) <= len(expected) // 8192 + 1
 
 
-def test_run_prints_to_its_own_int_str_limit():
-    # An in-process caller's limit holds outside run(), not inside it.
+def test_run_prints_to_its_own_int_str_limit(monkeypatch):
+    # An in-process caller's limit holds outside run(), not inside it, after a success,
+    # a domain error and a usage error alike; a limit of 0 is none, as before 3.10.7.
+    inside = []
+
+    def parser():  # run() builds its parser under the limit it prints with
+        inside.append(sys.get_int_max_str_digits())
+        return build_parser()
+
+    monkeypatch.setattr(partpoly.cli, "build_parser", parser)
+    factorial = str(math.factorial(1000))
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
     try:
-        out = io.StringIO()
-        argv = "derivatives --parts 1000 --at 0 --order 1000 --format json".split()
-        assert run(argv, out) == 0
-        assert sys.get_int_max_str_digits() == 640
+        for caller in (640, 0):
+            sys.set_int_max_str_digits(caller)
+            for args, status in [("derivatives --parts 1000 --at 0 --order 1000 --format json", 0),
+                                 ("integral --parts 0,2", 1), ("count --n x", 2)]:
+                out = io.StringIO()
+                if status == 2:
+                    with pytest.raises(SystemExit) as exc:
+                        run(args.split(), out)
+                    assert exc.value.code == 2
+                else:
+                    assert run(args.split(), out) == status
+                assert sys.get_int_max_str_digits() == caller, args
+                if status == 0:
+                    assert json.loads(out.getvalue())["values"][0]["value"] == factorial
     finally:
         sys.set_int_max_str_digits(old)
-    assert json.loads(out.getvalue())["values"][0]["value"] == str(math.factorial(1000))
+    assert inside == [MAX_DECIMAL_DIGITS] * 6
 
 
 def test_cli_prints_to_its_own_int_str_limit():

@@ -138,6 +138,28 @@ def test_parse_rational_caps_exponent_notation():
     assert parse_rational("1e-349525") == Fraction(1, 10 ** 349525)  # 3·349525 <= 2^20
 
 
+def test_parse_rational_bounds_each_power_without_building_it(monkeypatch):
+    # The bit-bound check hands back (b, e): an accepted e-form builds its 10^e once,
+    # in Fraction, and the ^ form checks both terms before building either.
+    checked = []
+
+    def spy(base, exp):
+        checked.append(power(base, exp))
+        return checked[-1]
+
+    power = exact._power
+    monkeypatch.setattr(exact, "_power", spy)
+    assert parse_rational("1e-349525") == Fraction(1, 10 ** 349525)
+    assert checked == [(10, 349525)]
+    checked.clear()
+    assert parse_rational("-3^4/2^5") == Fraction(-81, 32)
+    assert checked == [(3, 4), (2, 5)]
+    checked.clear()
+    with pytest.raises(DomainError, match="^10\\^2000000 exceeds"):
+        parse_rational("2^1048576/10^2000000")
+    assert checked == [(2, 1048576)]  # the numerator passed, and was never built
+
+
 def test_parse_rational_refuses_underscores():
     # Fraction reads "1_000" as 1000 from Python 3.11 on; refused first, the same
     # text gives the same answer on every supported version
